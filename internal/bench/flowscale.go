@@ -15,16 +15,9 @@ import (
 
 // DefaultFlowScaleExactMax is the default largest core count the
 // flow-scale sweep cross-checks against the exact kernel: past it the
-// exact leg costs minutes and the self-measured bound gap stands in
-// for the true error.
+// exact leg costs minutes and the approximation's bound gap is the
+// only accuracy figure left.
 const DefaultFlowScaleExactMax = 2048
-
-// FlowScaleExactMax is the package-level exact-check ceiling read only
-// by the deprecated FlowScale wrapper.
-//
-// Deprecated: set FlowScaleConfig.ExactMax instead. A mutable package
-// var races with concurrent sweeps; the config field is per-run.
-var FlowScaleExactMax = DefaultFlowScaleExactMax
 
 // FlowScaleConfig parameterizes one contention-kernel scale sweep.
 // The zero value of every field but Procs picks the sweep's defaults,
@@ -80,7 +73,7 @@ type FlowScalePoint struct {
 	ApproxSec   float64 // phase time from the leg the sweep reports (approx when eps > 0)
 	ExactSec    float64 // exact kernel's phase time; 0 when the exact leg was skipped
 	BW          float64 // aggregate bandwidth of the reported leg, the Fig-4 metric
-	ObservedErr float64 // |approx-exact|/exact when ErrExact, else the self-measured bound gap
+	ObservedErr float64 // |approx-exact|/exact when ErrExact, else ApproxInfo.BoundGap (not an error bound)
 	ErrExact    bool
 	Events      int64
 	WallSec     float64
@@ -115,11 +108,12 @@ func (pt FlowScalePoint) Stat(eps float64, workers int) *telemetry.FlowsimStat {
 // contention kernel at cfg.Procs cores. When cfg.Eps > 0 and the core
 // count is within cfg's exact-check ceiling, the exact kernel also
 // runs and the true relative error is scored; past the ceiling
-// ObservedErr is the approximation's self-measured bound gap, which
-// bounds the truth from above. Either way the run is refused with an
-// error when the observed error exceeds cfg.Eps — a scale point whose
-// own certificate cannot place it inside the requested band is not
-// reported.
+// ObservedErr is the approximation's bound gap — the distance from the
+// approximate time down to the link-load lower bound. Both are lower
+// bounds on the exact time, so the gap does not bound the true error
+// (see flowsim.ApproxInfo.BoundGap); it flags points where the
+// approximation and the floor disagree. Either way the run is refused
+// with an error when ObservedErr exceeds cfg.Eps.
 func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (FlowScalePoint, error) {
 	procs := cfg.Procs
 	top, p, nm := core.CompositePhaseMessages(mach, scene, procs, cfg.M, 0)
@@ -154,7 +148,7 @@ func FlowScaleAt(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (F
 		pt.ObservedErr = info.BoundGap
 	}
 	if cfg.Eps > 0 && procs <= cfg.exactMax() {
-		ex := flowsim.SimulateTimed(top, p, nm, nil, nil)
+		ex, _ := flowsim.SimulateOpt(top, p, nm, flowsim.Options{Workers: 1})
 		pt.ExactSec = ex.Time
 		if ex.Time > 0 {
 			pt.ObservedErr = math.Abs(res.Time-ex.Time) / ex.Time
@@ -229,14 +223,4 @@ func FlowScaleRun(mach machine.Machine, scene core.Scene, cfg FlowScaleConfig) (
 			fmt.Sprint(pt.Events), secs(pt.WallSec))
 	}
 	return pts, t.String(), nil
-}
-
-// FlowScale runs FlowScaleRun with the legacy parameter list and the
-// package-level FlowScaleExactMax ceiling.
-//
-// Deprecated: use FlowScaleRun with a FlowScaleConfig.
-func FlowScale(mach machine.Machine, scene core.Scene, procs int, eps float64, workers int) ([]FlowScalePoint, string, error) {
-	return FlowScaleRun(mach, scene, FlowScaleConfig{
-		Procs: procs, Eps: eps, Workers: workers, ExactMax: FlowScaleExactMax,
-	})
 }

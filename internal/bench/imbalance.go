@@ -142,7 +142,7 @@ func arrivalSkew(mach machine.Machine, scene core.Scene, procs int) (string, err
 	m := machine.ImprovedCompositors(procs)
 	top, p, nm := core.CompositePhaseMessages(mach, scene, procs, m, 16)
 	var ft flowsim.FlowTimes
-	res := flowsim.SimulateTimed(top, p, nm, nil, &ft)
+	res, _ := flowsim.SimulateOpt(top, p, nm, flowsim.Options{Times: &ft, Workers: 1})
 	lastArrival := map[int]float64{}
 	for i, mm := range nm {
 		if ft.Done[i] > lastArrival[mm.Dst] {

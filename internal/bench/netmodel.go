@@ -52,7 +52,7 @@ func AblationNetworkModel(mach machine.Machine) (string, error) {
 			nm[i] = torus.Message{Src: nodeOf[mm.Src], Dst: nodeOf[mm.Dst], Bytes: mm.Bytes}
 		}
 		model := torus.Phase(top, p2, nm, true)
-		sim := flowsim.Simulate(top, p2, nm)
+		sim, _ := flowsim.SimulateOpt(top, p2, nm, flowsim.Options{Workers: 1})
 		t.AddRow(fmt.Sprint(procs), f3(model.Time), f3(sim.Time),
 			fmt.Sprintf("%.2f", sim.Time/model.Time), fmt.Sprint(sim.Completions))
 	}

@@ -46,7 +46,11 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// TrafficStats aggregates the messages a World has carried.
+// TrafficStats aggregates the messages a World has carried. Barrier
+// signals are not counted: they carry no data, and a rank can still be
+// sending its last barrier signal after another rank has left the
+// barrier, so counting them would make a stage's traffic depend on
+// goroutine scheduling.
 type TrafficStats struct {
 	Messages   int
 	TotalBytes int64
@@ -205,10 +209,12 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 	if dst < 0 || dst >= c.w.size {
 		panic(fmt.Sprintf("comm: Send to invalid rank %d", dst))
 	}
-	c.w.statMu.Lock()
-	c.w.stats.Messages++
-	c.w.stats.TotalBytes += int64(len(data))
-	c.w.statMu.Unlock()
+	if tag != tagBarrier {
+		c.w.statMu.Lock()
+		c.w.stats.Messages++
+		c.w.stats.TotalBytes += int64(len(data))
+		c.w.statMu.Unlock()
+	}
 	c.tr.Add(trace.CounterMessages, 1)
 	c.tr.Add(trace.CounterBytesSent, int64(len(data)))
 	c.w.net.ObserveSend(int64(len(data)))

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bgpvr/internal/comm"
 	"bgpvr/internal/img"
 	"bgpvr/internal/machine"
 	"bgpvr/internal/mpiio"
@@ -59,6 +60,29 @@ func TestRunRealAlgorithmsAgree(t *testing.T) {
 		}
 		if d := img.MaxDiff(res.Image, ref); d > 2e-5 {
 			t.Errorf("algo %d: image differs from serial by %v", algo, d)
+		}
+	}
+}
+
+// TestRunRealTrafficRepeatable pins the compositing-stage traffic
+// count: the same frame must report the same messages and bytes every
+// time, however the ranks' goroutines are scheduled around the
+// barriers that bracket the stage.
+func TestRunRealTrafficRepeatable(t *testing.T) {
+	s := smallScene()
+	var want comm.TrafficStats
+	for i := 0; i < 5; i++ {
+		res, err := RunReal(RealConfig{Scene: s, Procs: 8, Algo: CompositeDirectSend, Format: FormatGenerate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Traffic.Messages == 0 || res.Traffic.TotalBytes == 0 {
+			t.Fatalf("run %d: no compositing traffic recorded: %+v", i, res.Traffic)
+		}
+		if i == 0 {
+			want = res.Traffic
+		} else if res.Traffic != want {
+			t.Errorf("run %d traffic %+v, first run %+v", i, res.Traffic, want)
 		}
 	}
 }

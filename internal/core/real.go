@@ -309,7 +309,7 @@ func RunReal(cfg RealConfig) (*RealResult, error) {
 		renderSp.End()
 		if rank == 0 {
 			t2 = time.Now()
-			world.ResetStats() // barrier traffic is not compositing traffic
+			world.ResetStats() // render-stage traffic is not compositing traffic
 		}
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: frame canceled before composite: %w", err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bgpvr/internal/grid"
 	"bgpvr/internal/torus"
 )
 
@@ -38,7 +39,7 @@ func TestApproxErrorWithinEps(t *testing.T) {
 		top := torus.NewTopology(cfg.nodes)
 		rng := rand.New(rand.NewSource(cfg.seed))
 		msgs := randomMsgs(rng, top.Nodes(), cfg.n)
-		exact := SimulateTimed(top, p, msgs, nil, nil)
+		exact := simulate(top, p, msgs)
 		for _, eps := range []float64{0.02, 0.08, 0.25} {
 			t.Run(fmt.Sprintf("nodes%d/seed%d/eps%g", cfg.nodes, cfg.seed, eps), func(t *testing.T) {
 				res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps})
@@ -50,9 +51,8 @@ func TestApproxErrorWithinEps(t *testing.T) {
 					t.Errorf("observed error %.4f exceeds eps %g (side %d, exact %.6g, approx %.6g)",
 						err, eps, info.Side, exact.Time, res.Time)
 				}
-				// The self-measured band must also bound the truth:
-				// the exact time can never undershoot the certifiable
-				// floor the band is measured from.
+				// The certified floor must hold: the exact time can
+				// never undershoot it.
 				if exact.Time < info.LowerBound*(1-1e-9) {
 					t.Errorf("exact time %.6g below certified lower bound %.6g", exact.Time, info.LowerBound)
 				}
@@ -81,7 +81,7 @@ func TestApproxSkewedPattern(t *testing.T) {
 				})
 			}
 		}
-		exact := SimulateTimed(top, p, msgs, nil, nil)
+		exact := simulate(top, p, msgs)
 		for _, eps := range []float64{0.02, 0.08, 0.25} {
 			res, _ := SimulateOpt(top, p, msgs, Options{ApproxEps: eps})
 			if err := math.Abs(res.Time-exact.Time) / exact.Time; err > eps {
@@ -103,7 +103,7 @@ func TestApproxEndpointAggWithinEps(t *testing.T) {
 		top := torus.NewTopology(cfg.nodes)
 		rng := rand.New(rand.NewSource(cfg.seed))
 		msgs := randomMsgs(rng, top.Nodes(), cfg.n)
-		exact := SimulateTimed(top, p, msgs, nil, nil)
+		exact := simulate(top, p, msgs)
 		for _, eps := range []float64{0.02, 0.08, 0.25} {
 			t.Run(fmt.Sprintf("nodes%d/seed%d/eps%g", cfg.nodes, cfg.seed, eps), func(t *testing.T) {
 				res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, EndpointAgg: true})
@@ -148,7 +148,7 @@ func TestApproxEndpointAggShrinksModel(t *testing.T) {
 			})
 		}
 	}
-	exact := SimulateTimed(top, p, msgs, nil, nil)
+	exact := simulate(top, p, msgs)
 	base, baseInfo := SimulateOpt(top, p, msgs, Options{ApproxEps: eps})
 	res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps, EndpointAgg: true})
 	if !info.EndpointAgg {
@@ -190,7 +190,7 @@ func TestApproxDegradesToExact(t *testing.T) {
 	p := params()
 	rng := rand.New(rand.NewSource(3))
 	msgs := randomMsgs(rng, top.Nodes(), 120)
-	want := SimulateTimed(top, p, msgs, nil, nil)
+	want := simulate(top, p, msgs)
 	got, info := SimulateOpt(top, p, msgs, Options{ApproxEps: 0.005})
 	if got != want {
 		t.Errorf("eps below floor: Result %+v, exact %+v", got, want)
@@ -222,5 +222,61 @@ func TestApproxShardedDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d msg %d done %v, want %v", workers, i, ftW.Done[i], ft1.Done[i])
 			}
 		}
+	}
+}
+
+// TestLowerBoundNotTightOnRing is the adversarial regression for the
+// certified floor: on an 8-node ring two 5 MiB flows share link 1->2,
+// and each is also throttled on its other hop, where it shares a link
+// with a pair of 2.5 MiB flows. Every link carries at most 10 MiB, so
+// the link-load lower bound is LB = 10 MiB / bandwidth, but max-min
+// first runs every flow at a third of a link (the two triple-shared
+// links bottleneck) and the big flows only get half of 1->2 once the
+// small ones finish: the exact makespan is 7.5/3 + 2.5 = 12.5 MiB of
+// link time, 1.25x LB. The floor the approximation reports must still
+// sit at or below the exact time for every eps that engages it.
+func TestLowerBoundNotTightOnRing(t *testing.T) {
+	top := torus.Topology{Dims: grid.I(8, 1, 1)}
+	p := params()
+	p.SendOverhead, p.RecvOverhead, p.RouteLatency = 0, 0, 0
+	const big, small = 5 << 20, 5 << 19
+	msgs := []torus.Message{
+		{Src: 0, Dst: 2, Bytes: big},
+		{Src: 1, Dst: 3, Bytes: big},
+		{Src: 7, Dst: 1, Bytes: small},
+		{Src: 7, Dst: 1, Bytes: small},
+		{Src: 2, Dst: 4, Bytes: small},
+		{Src: 2, Dst: 4, Bytes: small},
+	}
+	px := func(node int) int { return torus.LinkIndex(node, 0) } // +x link out of node
+	wantRoutes := map[[2]int][]int{
+		{0, 2}: {px(0), px(1)},
+		{1, 3}: {px(1), px(2)},
+		{7, 1}: {px(7), px(0)},
+		{2, 4}: {px(2), px(3)},
+	}
+	for pair, want := range wantRoutes {
+		var got []int
+		top.Route(pair[0], pair[1], func(l int) { got = append(got, l) })
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("route %d->%d visits links %v, want %v", pair[0], pair[1], got, want)
+		}
+	}
+
+	lb := float64(10<<20) / p.LinkBandwidth
+	exact := simulate(top, p, msgs)
+	if want := 1.25 * lb; math.Abs(exact.Time-want) > 1e-12*want {
+		t.Fatalf("exact makespan %.9g, want 1.25 x LB = %.9g", exact.Time, want)
+	}
+	for _, eps := range []float64{0.02, 0.08, 0.25} {
+		res, info := SimulateOpt(top, p, msgs, Options{ApproxEps: eps})
+		if info == nil || info.Side <= 1 {
+			t.Fatalf("eps %g did not engage the approximation: %+v", eps, info)
+		}
+		if info.LowerBound > exact.Time {
+			t.Errorf("eps %g: certified lower bound %.9g exceeds exact time %.9g", eps, info.LowerBound, exact.Time)
+		}
+		t.Logf("eps %g: side %d, approx %.6g (%.4f of exact), LB %.6g, BoundGap %.4f, clamped %v",
+			eps, info.Side, res.Time, res.Time/exact.Time, info.LowerBound, info.BoundGap, info.Clamped)
 	}
 }

@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"fmt"
 	"testing"
 
 	"bgpvr/internal/core"
@@ -13,50 +14,28 @@ import (
 // rectangle is fragmented over the improved compositor count and each
 // fragment becomes one flow between the ranks' nodes under block
 // placement — the same workload the imbalance bench streams through
-// SimulateTimed.
+// SimulateOpt.
 func directSendPhase(procs int) (torus.Topology, torus.Params, []torus.Message) {
 	return core.CompositePhaseMessages(machine.NewBGP(), core.DefaultScene(256, 1024), procs, 0, 0)
 }
 
 // BenchmarkFlowsimDirectSend measures the max-min kernel on a 4K-rank
-// direct-send phase. The rescan leg is the original full-rescan
-// formulation (reference_test.go); the acceptance bar is sparse being
-// at least 5x fewer ns/op.
+// direct-send phase at gang widths 1/2/4. This workload sits *below*
+// the gang's engagement thresholds (per-round touched work is too
+// small to amortize the rendezvous — forcing the gang here is 2x
+// slower at 4 workers), so the w legs should be flat: they pin that
+// asking for workers at sub-threshold scale costs nothing over the
+// width-1 loop. The at-scale speedup itself (2.2x at 4 workers on the
+// 8K-rank exchange) takes minutes per iteration and is gated by CI's
+// scale-smoke job instead. The rescan leg is the full-rescan
+// reference (reference_test.go), ~2 minutes per iteration; select it
+// by hand with -bench=BenchmarkFlowsimDirectSend/rescan to measure the
+// sparse kernel's speedup.
 func BenchmarkFlowsimDirectSend(b *testing.B) {
 	const procs = 4096
 	top, p, nm := directSendPhase(procs)
-	b.Run("sparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := SimulateTimed(top, p, nm, nil, nil)
-			if r.Completions == 0 {
-				b.Fatal("no flows simulated")
-			}
-		}
-	})
-	b.Run("rescan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := simulateRescanTimed(top, p, nm, nil, nil)
-			if r.Completions == 0 {
-				b.Fatal("no flows simulated")
-			}
-		}
-	})
-}
-
-// BenchmarkFlowsimSharded runs the SimulateOpt entry on the 4K-rank
-// direct-send phase at 1/2/4 workers. This workload sits *below* the
-// gang's engagement thresholds (per-round touched work is too small to
-// amortize the rendezvous — forcing the gang here is 2x slower at 4
-// workers), so the legs should be flat: they pin that asking for
-// workers at sub-threshold scale costs nothing over the serial loop.
-// The at-scale speedup itself (2.2x at 4 workers on the 8K-rank
-// exchange) takes minutes per iteration and is gated by CI's
-// scale-smoke job instead.
-func BenchmarkFlowsimSharded(b *testing.B) {
-	const procs = 4096
-	top, p, nm := directSendPhase(procs)
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4"}[workers], func(b *testing.B) {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r, _ := SimulateOpt(top, p, nm, Options{Workers: workers})
 				if r.Completions == 0 {
@@ -65,6 +44,14 @@ func BenchmarkFlowsimSharded(b *testing.B) {
 			}
 		})
 	}
+	b.Run("rescan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r := simulateRescanTimed(top, p, nm, nil, nil)
+			if r.Completions == 0 {
+				b.Fatal("no flows simulated")
+			}
+		}
+	})
 }
 
 // BenchmarkFlowsimEndpointAgg measures the endpoint-hop-aggregated

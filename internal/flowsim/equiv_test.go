@@ -52,51 +52,72 @@ func sameUsage(t *testing.T, got, want *telemetry.LinkUsage) {
 	}
 }
 
-// TestSparseKernelMatchesRescan pins the sparse incremental kernel
-// against the full-rescan reference: Result, per-message completion
-// times, and per-link telemetry must all be bit-identical (exact
-// float64 equality, no tolerance) on randomized message sets over
-// several topologies.
-func TestSparseKernelMatchesRescan(t *testing.T) {
-	tops := []torus.Topology{
+// matchesRescan runs SimulateOpt in exact mode with opt's gang width
+// and the full-rescan reference on the same messages, and fails unless
+// Result, every per-message completion time, and every per-link
+// telemetry field are bit-identical (exact float64 equality, no
+// tolerance). Exact mode must also report no ApproxInfo.
+func matchesRescan(t *testing.T, top torus.Topology, p torus.Params, msgs []torus.Message, opt Options) {
+	t.Helper()
+	uG := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
+	uR := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
+	var ftG, ftR FlowTimes
+	opt.Usage, opt.Times = uG, &ftG
+	got, info := SimulateOpt(top, p, msgs, opt)
+	if info != nil {
+		t.Fatalf("exact mode returned ApproxInfo %+v", info)
+	}
+	want := simulateRescanTimed(top, p, msgs, uR, &ftR)
+	if got != want {
+		t.Errorf("workers=%d Result %+v, rescan reference %+v", opt.Workers, got, want)
+	}
+	for i := range msgs {
+		if ftG.Done[i] != ftR.Done[i] {
+			t.Fatalf("workers=%d msg %d done %v, rescan %v", opt.Workers, i, ftG.Done[i], ftR.Done[i])
+		}
+	}
+	sameUsage(t, uG, uR)
+}
+
+// equivTops are the topologies the equivalence suite draws message
+// sets over: a full 3D torus, a ring, and a ragged mixed-extent torus.
+func equivTops() []torus.Topology {
+	return []torus.Topology{
 		torus.NewTopology(64),
 		{Dims: grid.I(8, 1, 1)},
 		{Dims: grid.I(4, 2, 3)},
 	}
+}
+
+// equivMsgs draws the seeded message set of one equivalence case.
+func equivMsgs(top torus.Topology, ti int, seed int64) []torus.Message {
+	rng := rand.New(rand.NewSource(seed*977 + int64(ti)))
+	return randomMsgs(rng, top.Nodes(), 20+rng.Intn(120))
+}
+
+// TestSparseKernelMatchesRescan pins SimulateOpt with zero-value
+// Options — all cores, with the gang engaging only above its default
+// work thresholds — against the full-rescan reference on randomized
+// message sets over several topologies.
+func TestSparseKernelMatchesRescan(t *testing.T) {
 	p := params()
-	for ti, top := range tops {
-		nodes := top.Nodes()
+	for ti, top := range equivTops() {
 		for seed := int64(0); seed < 8; seed++ {
 			t.Run(fmt.Sprintf("top%d/seed%d", ti, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed*977 + int64(ti)))
-				msgs := randomMsgs(rng, nodes, 20+rng.Intn(120))
-				uS := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-				uR := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-				var ftS, ftR FlowTimes
-				got := SimulateTimed(top, p, msgs, uS, &ftS)
-				want := simulateRescanTimed(top, p, msgs, uR, &ftR)
-				if got != want {
-					t.Errorf("Result %+v, rescan reference %+v", got, want)
-				}
-				for i := range msgs {
-					if ftS.Done[i] != ftR.Done[i] {
-						t.Fatalf("msg %d done %v, rescan %v", i, ftS.Done[i], ftR.Done[i])
-					}
-				}
-				sameUsage(t, uS, uR)
+				matchesRescan(t, top, p, equivMsgs(top, ti, seed), Options{})
 			})
 		}
 	}
 }
 
 // TestSparseKernelMatchesRescanBare covers the hook-free path (nil
-// telemetry, nil times), which the kernels must also agree on.
+// telemetry, nil times), which must also agree with the reference.
 func TestSparseKernelMatchesRescanBare(t *testing.T) {
 	top := torus.NewTopology(512)
 	p := params()
 	rng := rand.New(rand.NewSource(41))
 	msgs := randomMsgs(rng, top.Nodes(), 400)
-	got := SimulateTimed(top, p, msgs, nil, nil)
+	got, _ := SimulateOpt(top, p, msgs, Options{})
 	want := simulateRescanTimed(top, p, msgs, nil, nil)
 	if got != want {
 		t.Errorf("Result %+v, rescan reference %+v", got, want)

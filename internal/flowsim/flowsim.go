@@ -7,66 +7,25 @@
 // captures transient effects (short flows finishing early and returning
 // bandwidth) that a single-bottleneck bound cannot.
 //
-// Exact max-min fair sharing is recomputed after every flow completion,
-// but only over the *active* state: the kernel keeps sparse active sets
-// (compacted in place as flows finish), groups same-route flows so they
-// freeze and complete together, and selects each round's bottleneck
-// from a monotone bucket queue instead of rescanning every link. The
-// results are bit-identical to the full-rescan formulation (the
-// equivalence suite in the tests pins this), which makes 16K-32K-rank
-// direct-send phases tractable where the old kernel self-limited to a
-// few thousand ranks.
+// SimulateOpt is the package's one entry point, and one sparse kernel
+// (shard.go) serves every configuration. Exact max-min fair sharing is
+// recomputed after every flow completion, but only over the *active*
+// state: the kernel keeps sparse active sets (compacted in place as
+// flows finish), groups same-route flows so they freeze and complete
+// together, and selects each round's bottleneck from a monotone bucket
+// queue instead of rescanning every link. Its per-round work can shard
+// over a worker gang, and it can run on clustered model links for the
+// contention approximation. In exact mode the results are bit-identical
+// to the full-rescan formulation at every gang width (the equivalence
+// suite in the tests pins this), which makes 16K-32K-rank direct-send
+// phases tractable where a rescan self-limits to a few thousand ranks.
 package flowsim
 
 import (
-	"math"
-	mbits "math/bits"
-	"sort"
-
+	"bgpvr/internal/par"
 	"bgpvr/internal/telemetry"
 	"bgpvr/internal/torus"
 )
-
-// bShift buckets shares by the top 64-bShift bits of their float64 bit
-// pattern (sign always 0: shares are non-negative), so bucket indices
-// order exactly like share values. 48 keeps 4 mantissa bits, i.e.
-// buckets ~6% wide in share value: coarse enough that many touches
-// leave a link's share inside its current bucket (refiles are the
-// dominant bookkeeping cost), fine enough that the lowest occupied
-// bucket stays small to scan, and the whole structure (2^16 buckets)
-// stays cache-resident.
-const (
-	bShift   = 48
-	nBuckets = 1 << (64 - bShift)
-)
-
-// dtSlack pads the completion-time skip bound: a candidate with
-// remaining >= dt*sel*dtSlack satisfies fl(remaining/sel) > dt under
-// any round-to-nearest outcome (the pad dwarfs the few ulps the
-// multiply and divide can each contribute), so skipping its division
-// can never change the running minimum.
-const dtSlack = 1.000000000001
-
-// linkState packs each link's max-min scratch state into 16 bytes: the
-// freeze inner loop reads and writes all three fields per touched link,
-// so density here is memory traffic in the hottest loop of the kernel.
-// The share itself is not cached — the pop scan recomputes the exact
-// avail/unfrozen division for the handful of links it examines, which
-// is far cheaper than dividing on every one of the billions of touches.
-type linkState struct {
-	avail    float64 // bandwidth not yet claimed by frozen flows
-	unfrozen int32   // live flows not yet frozen this event
-	inBucket int32   // bucket currently holding this link's valid entry
-}
-
-// groupState likewise packs each same-route group's hot state: the
-// freeze pass reads front/end/frozen and writes rate for every group
-// on the bottleneck's list, round after round.
-type groupState struct {
-	rate       float64 // members' common rate (stale until refrozen)
-	front, end int32   // live members are mRemaining[front:end]
-	frozen     bool
-}
 
 // Result summarizes one simulated phase.
 type Result struct {
@@ -87,459 +46,129 @@ type FlowTimes struct {
 	Done []float64
 }
 
-// Simulate runs the phase: all messages start at t=0 and stream over
-// their dimension-ordered routes at max-min fair rates. Per-message
-// endpoint overheads (SendOverhead+RecvOverhead) delay each flow's
-// completion additively; self-messages cost only their overheads.
-func Simulate(top torus.Topology, p torus.Params, msgs []torus.Message) Result {
-	return SimulateTelemetry(top, p, msgs, nil)
+// Options configures SimulateOpt. The zero value runs the exact
+// kernel on all cores with no observation hooks attached.
+type Options struct {
+	// Usage, when non-nil, accumulates per directed link the payload
+	// carried (bytes cross every link of their route), the number of
+	// concurrent flows, how often the link was the max-min bottleneck,
+	// and the time it spent occupied by at least one unfinished flow;
+	// its Capacity and Duration are set from the phase. The hooks are
+	// observational: nil allocates nothing, and attaching a recorder
+	// leaves the simulated times bit-identical. Only honored in exact
+	// mode: the clustered approximation simulates aggregated model
+	// links whose indices do not name physical links, so Usage is
+	// ignored when ApproxEps engages a coarser-than-exact clustering.
+	Usage *telemetry.LinkUsage
+	// Times, when non-nil, has its Done slice resized to len(msgs) and
+	// filled with each message's completion time.
+	Times *FlowTimes
+	// Workers shards the event loop's per-round work (link-state
+	// updates, bucket refiling, flow advancement) over a persistent
+	// par.Gang. Results are bit-identical at every width; <= 0 means
+	// all cores, 1 disables sharding.
+	Workers int
+	// ApproxEps > 0 enables the clustered contention approximation
+	// with the given relative-error budget: torus links are grouped
+	// into regions (torus.SideForEps picks the cluster side), flows
+	// contend exactly on links inside their endpoint regions and
+	// against pooled directional capacity in transit regions, and the
+	// result is clamped to the certifiable physical-bottleneck lower
+	// bound. Eps below the smallest calibrated band degrades to the
+	// exact kernel.
+	ApproxEps float64
+	// EndpointAgg additionally aggregates the interior hops of each
+	// flow's endpoint regions (torus.Regions.EndpointAgg): only the
+	// injection hop out of the source node and the ejection hop into
+	// the destination node keep their physical identity, so the
+	// per-flow endpoint fan — the dominant model-link population on
+	// direct-send workloads past 32K ranks — collapses onto the same
+	// regional aggregates transit hops use. Only meaningful with
+	// ApproxEps > 0; it engages when the decomposition is coarse
+	// enough to pay (side >= 4 and at least endpointAggMinRegions
+	// regions — below that nearly every hop is an injection/ejection
+	// hop already and pooling would spend accuracy for nothing).
+	// ApproxInfo.EndpointAgg reports whether it actually engaged.
+	EndpointAgg bool
 }
 
-// SimulateTelemetry is Simulate with optional per-link telemetry: when
-// u is non-nil it accumulates, per directed link, the payload carried
-// (bytes cross every link of their route), the number of concurrent
-// flows, how often the link was the max-min bottleneck, and the time
-// it spent occupied by at least one unfinished flow; u's Capacity and
-// Duration are set from the phase. u == nil is exactly Simulate: the
-// telemetry hooks allocate nothing and leave the simulated times
-// bit-identical.
-func SimulateTelemetry(top torus.Topology, p torus.Params, msgs []torus.Message, u *telemetry.LinkUsage) Result {
-	return SimulateTimed(top, p, msgs, u, nil)
+// endpointAggMinRegions is the engagement floor for Options.EndpointAgg:
+// decompositions with fewer regions keep endpoint hops physical even
+// when the dial is on (they are dominated by injection/ejection hops,
+// which stay physical regardless).
+const endpointAggMinRegions = 8
+
+// ApproxInfo reports what the clustered contention approximation did;
+// SimulateOpt returns nil when ApproxEps was not engaged.
+type ApproxInfo struct {
+	Eps        float64 // the requested bound
+	Side       int     // cluster side chosen by SideForEps
+	Regions    int     // clusters in the decomposition
+	PhysLinks  int     // physical directed links
+	ModelLinks int     // simulated model links (aggregates + exact)
+	// EndpointAgg reports whether endpoint-hop aggregation engaged
+	// (Options.EndpointAgg requested it and the decomposition cleared
+	// the engagement floor).
+	EndpointAgg bool
+	// UsedLinks counts the model links the streamed flows actually
+	// reference — the live population the event loop iterates, and the
+	// number endpoint aggregation exists to shrink (ModelLinks is just
+	// the id-space size).
+	UsedLinks int
+	// LowerBound is the certifiable completion-time floor: the
+	// heaviest physical link's load over its bandwidth, plus the
+	// endpoint overheads and route latency every flow pays. The exact
+	// kernel can never finish below it.
+	LowerBound float64
+	// Clamped reports whether the raw approximate time fell below
+	// LowerBound and was lifted onto it (completion times rescaled).
+	Clamped bool
+	// BoundGap is (Time - LowerBound) / Time: how far the
+	// approximate time sits above the certifiable floor. It is the
+	// distance between two lower bounds, not an upper bound on the
+	// approximation's error. Pooled transit capacity errs optimistic,
+	// so Time, like LowerBound, estimates the exact result from below,
+	// and LowerBound need not be tight: on an 8-node ring where flows
+	// are throttled on a second hop the exact makespan is 1.25x the
+	// link-load floor (TestLowerBoundNotTightOnRing). Where pooling
+	// hides such throttling, Time can sit on the floor with a zero gap
+	// while the exact result lies above both.
+	BoundGap float64
 }
 
-// SimulateTimed is SimulateTelemetry with optional per-message
-// completion times: when ft is non-nil its Done slice is resized to
-// len(msgs) and filled with each message's completion time. ft == nil
-// is exactly SimulateTelemetry.
-func SimulateTimed(top torus.Topology, p torus.Params, msgs []torus.Message, u *telemetry.LinkUsage, ft *FlowTimes) Result {
-	var overheadMax float64
-	nlinks := top.NumLinks()
-	if u != nil {
-		u.Capacity = p.LinkBandwidth
+// SimulateOpt runs the phase: all messages start at t=0 and stream
+// over their dimension-ordered routes at max-min fair rates.
+// Per-message endpoint overheads (SendOverhead+RecvOverhead) delay
+// each flow's completion additively; self-messages and empty messages
+// cost only their overheads. Workers only changes who computes each
+// link's update, never the order the updates apply in, so the result
+// (times, telemetry, completion stamps) is bit-identical at every
+// width. ApproxEps > 0 switches to the clustered contention
+// approximation and returns its ApproxInfo; ApproxEps <= 0 returns nil.
+func SimulateOpt(top torus.Topology, p torus.Params, msgs []torus.Message, opt Options) (Result, *ApproxInfo) {
+	workers := par.Workers(opt.Workers)
+	if opt.ApproxEps <= 0 {
+		return simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil), nil
 	}
-	if ft != nil {
-		ft.Done = make([]float64, len(msgs))
+	side := torus.SideForEps(opt.ApproxEps)
+	info := &ApproxInfo{Eps: opt.ApproxEps, Side: side, PhysLinks: top.NumLinks()}
+	if side <= 1 {
+		// Degrade to exact: the clustering would keep every hop's
+		// physical identity anyway, so run the exact kernel and report
+		// a zero-width error band.
+		res := simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil)
+		info.Regions = top.Nodes()
+		info.ModelLinks = top.NumLinks()
+		info.LowerBound = res.Time
+		return res, info
 	}
-
-	// Group messages by (src, dst) endpoint pair: deterministic
-	// dimension-ordered routing gives every flow of a pair the identical
-	// link list, so max-min fairness freezes them in the same round at
-	// the same share in every event — identical rates always. The whole
-	// group can therefore be frozen with one pass over its route, and
-	// because all live members drain at one common rate their remaining
-	// bytes keep the order they started in: members are sorted by size
-	// ascending once, and completions simply advance a per-group front.
-	gidOf := make(map[int64]int32, len(msgs))
-	var routes [][]int32                // per-group link list
-	var memRem [][]float64              // per-group member sizes (pre-flattening)
-	var memMsg [][]int32                // per-group member msgs indices
-	liveOnLink := make([]int32, nlinks) // unfinished-flow count per link
-	linkGroups := make([][]int32, nlinks)
-	nflows := 0
-	for mi, m := range msgs {
-		oh := p.SendOverhead + p.RecvOverhead
-		if oh > overheadMax {
-			overheadMax = oh
-		}
-		if m.Src == m.Dst || m.Bytes == 0 {
-			if ft != nil {
-				ft.Done[mi] = oh + p.RouteLatency
-			}
-			continue // pure-overhead flow
-		}
-		key := int64(m.Src)<<32 | int64(m.Dst)
-		g, ok := gidOf[key]
-		if !ok {
-			g = int32(len(routes))
-			gidOf[key] = g
-			var links []int32
-			top.Route(m.Src, m.Dst, func(l int) { links = append(links, int32(l)) })
-			routes = append(routes, links)
-			memRem = append(memRem, nil)
-			memMsg = append(memMsg, nil)
-			for _, l := range links {
-				linkGroups[l] = append(linkGroups[l], g)
-			}
-		}
-		memRem[g] = append(memRem[g], float64(m.Bytes))
-		memMsg[g] = append(memMsg[g], int32(mi))
-		for _, l := range routes[g] {
-			liveOnLink[l]++
-			u.RecordLink(int(l), m.Bytes)
-		}
-		nflows++
+	rg := torus.NewRegions(top, side)
+	if opt.EndpointAgg && side >= 4 && rg.NumRegions() >= endpointAggMinRegions {
+		rg.EndpointAgg = true
 	}
-	ngroups := len(routes)
-	mOff := make([]int32, ngroups+1)
-	for g := 0; g < ngroups; g++ {
-		mOff[g+1] = mOff[g] + int32(len(memRem[g]))
-	}
-	mRemaining := make([]float64, nflows)
-	mMsgOf := make([]int32, nflows)
-	for g := 0; g < ngroups; g++ {
-		rs, ms := memRem[g], memMsg[g]
-		sort.Sort(&memberSort{rs, ms})
-		copy(mRemaining[mOff[g]:], rs)
-		copy(mMsgOf[mOff[g]:], ms)
-	}
-
-	simPhase.Start(int64(nflows))
-	defer simPhase.End()
-	cSimFlows.Add(int64(nflows))
-
-	res := Result{Completions: nflows}
-	now := 0.0
-	active := nflows
-	// Sparse active sets: the groups still in flight and the links they
-	// cross, both compacted in place as members complete. Flows never
-	// start mid-phase, so both sets only shrink; the scratch arrays stay
-	// full-size but only active entries are ever read or reset, so one
-	// Simulate call allocates a fixed number of slices regardless of how
-	// many events it processes.
-	activeGroups := make([]int32, ngroups)
-	for g := range activeGroups {
-		activeGroups[g] = int32(g)
-	}
-	activeLinks := make([]int32, 0, nlinks)
-	for l := 0; l < nlinks; l++ {
-		if liveOnLink[l] > 0 {
-			activeLinks = append(activeLinks, int32(l))
-		}
-	}
-	gs := make([]groupState, ngroups)
-	for g := range gs {
-		gs[g] = groupState{front: mOff[g], end: mOff[g+1]}
-	}
-	ls := make([]linkState, nlinks)
-	// Live counts are small integers, so the event-reset buckets (bucket
-	// of fl(BW/n)) and the reciprocals 1/n the touch path multiplies by
-	// are precomputed once. recipTab feeds only the approximate dip
-	// check — every share that influences a result is an exact division.
-	maxLive := int32(0)
-	for _, n := range liveOnLink {
-		if n > maxLive {
-			maxLive = n
-		}
-	}
-	recipTab := make([]float64, maxLive+1)
-	bucketTab := make([]int32, maxLive+1)
-	for n := int32(1); n <= maxLive; n++ {
-		recipTab[n] = 1 / float64(n)
-		bucketTab[n] = int32(math.Float64bits(p.LinkBandwidth/float64(n)) >> bShift)
-	}
-	// Bottleneck selection uses a monotone bucket queue keyed by the
-	// IEEE bit pattern of each link's current share. The invariant is
-	// one-sided: every live link has exactly one valid entry, filed at
-	// or BELOW the bucket of its current share. Shares only rise as an
-	// event's rounds freeze bandwidth (removing a flow that was capped
-	// below this link's fair share raises the survivors' share), so a
-	// touch normally leaves the entry where it is — division-free — and
-	// the pop sweep lifts stale entries to their exact bucket when it
-	// reaches them, coalescing every intermediate crossing into one
-	// refile. The rare genuine dips (clamping + rounding pushing a share
-	// below its filed bucket's floor) are caught by an approximate
-	// reciprocal-multiply check with an 8-ulp guard band; only those
-	// near-boundary touches pay an exact division to confirm. The pop
-	// scan recomputes exact shares for the entries of the first
-	// non-empty bucket, so the selected minimum — smallest share, ties
-	// to the lowest link index — is bit-for-bit the rescan's. curB only
-	// advances past buckets proven empty of valid entries and is pulled
-	// back by any lower push.
-	bucket := make([][]int32, nBuckets)
-	bucketStamp := make([]int32, nBuckets)
-	bitmap := make([]uint64, nBuckets/64)
-	eventID := int32(0)
-	curB := 0
-	for active > 0 {
-		// Drop finished groups and idle links, preserving order; reset
-		// the per-event freeze state.
-		w := 0
-		for _, g := range activeGroups {
-			if st := &gs[g]; st.front < st.end {
-				st.frozen = false
-				activeGroups[w] = g
-				w++
-			}
-		}
-		activeGroups = activeGroups[:w]
-		w = 0
-		for _, l := range activeLinks {
-			if liveOnLink[l] > 0 {
-				activeLinks[w] = l
-				w++
-			}
-		}
-		activeLinks = activeLinks[:w]
-
-		// Reset the bucket queue for this event: the occupancy bitmap
-		// is small enough to clear wholesale, bucket lists are truncated
-		// lazily on first use (bucketStamp), and every active link is
-		// filed under its fresh share.
-		clear(bitmap)
-		eventID++
-		curB = nBuckets
-		for _, l := range activeLinks {
-			st := &ls[l]
-			n := liveOnLink[l]
-			st.avail = p.LinkBandwidth
-			st.unfrozen = n
-			b := int(bucketTab[n])
-			st.inBucket = int32(b)
-			if bucketStamp[b] != eventID {
-				bucketStamp[b] = eventID
-				bucket[b] = bucket[b][:0]
-			}
-			bitmap[b>>6] |= 1 << (uint(b) & 63)
-			bucket[b] = append(bucket[b], l)
-			if b < curB {
-				curB = b
-			}
-		}
-
-		// Max-min fair allocation: repeatedly freeze the flows crossing
-		// the currently most-contended link at its fair share. The next
-		// completion time is folded into the same pass: every live group
-		// is frozen exactly once per event at its members' common rate,
-		// and rounding is monotone, so the running minimum of
-		// front-member-remaining/share over freeze operations equals the
-		// full scan's minimum of remaining/rate over every flow.
-		dt := math.Inf(1)
-		remainingUnfrozen := active
-		freezeRounds, frozenFlows := 0, 0 // flushed to obs counters per event
-		for remainingUnfrozen > 0 {
-			bott := -1
-			var sel float64
-			for curB < nBuckets {
-				wd := bitmap[curB>>6] >> (uint(curB) & 63)
-				if wd == 0 {
-					curB = (curB &^ 63) + 64
-					continue
-				}
-				b := curB + mbits.TrailingZeros64(wd)
-				// Scan the lowest occupied bucket: compact out entries
-				// whose link moved buckets or saturated, lift entries
-				// whose share has risen past this bucket to their exact
-				// bucket, and take the exact (share, index) lexicographic
-				// minimum of the rest. Valid entries are filed at or below
-				// their true bucket, so every link not represented here
-				// has a strictly larger share than anything kept in b.
-				lst := bucket[b]
-				wr := 0
-				best := -1
-				var bestS float64
-				for _, l32 := range lst {
-					st := &ls[l32]
-					if st.inBucket != int32(b) || st.unfrozen == 0 {
-						continue
-					}
-					s := st.avail / float64(st.unfrozen)
-					if tb := int(math.Float64bits(s) >> bShift); tb != b {
-						// Stale: the share rose out of this bucket since
-						// filing (tb > b always — downward moves refile
-						// eagerly). One refile covers every bucket the
-						// share crossed while the sweep was elsewhere.
-						st.inBucket = int32(tb)
-						if bucketStamp[tb] != eventID {
-							bucketStamp[tb] = eventID
-							bucket[tb] = bucket[tb][:0]
-						}
-						bitmap[tb>>6] |= 1 << (uint(tb) & 63)
-						bucket[tb] = append(bucket[tb], l32)
-						continue
-					}
-					lst[wr] = l32
-					wr++
-					if best < 0 || s < bestS || (s == bestS && int(l32) < best) {
-						best = int(l32)
-						bestS = s
-					}
-				}
-				bucket[b] = lst[:wr]
-				if best < 0 {
-					bitmap[b>>6] &^= 1 << (uint(b) & 63)
-					curB = b + 1
-					continue
-				}
-				curB = b
-				bott = best
-				sel = bestS
-				break
-			}
-			if bott < 0 {
-				break // flows with no links (cannot happen; guarded above)
-			}
-			u.AddBottleneck(bott)
-			freezeRounds++
-			// Freeze the bottleneck's groups, lazily dropping finished
-			// ones from its list (order preserved). A group's k live
-			// members all freeze at sel here, exactly as the rescan
-			// freezes them one by one: the same-value clamped
-			// subtractions per route link commute with the other
-			// freezes of the round, and the intermediate shares are
-			// never observed (selection only runs between rounds).
-			//
-			// dtThr is a provably safe skip bound for the completion-time
-			// fold: rem >= dt*sel*(1+1e-12) implies fl(rem/sel) > dt even
-			// after rounding, so only near-minimum candidates pay the
-			// division. The divisions that do run are the identical
-			// fl(rem/sel) the rescan computes.
-			dtThr := dt * sel * dtSlack
-			lg := linkGroups[bott][:0]
-			for _, g := range linkGroups[bott] {
-				gst := &gs[g]
-				lo := gst.front
-				if lo == gst.end {
-					continue
-				}
-				lg = append(lg, g)
-				if gst.frozen {
-					continue
-				}
-				gst.frozen = true
-				gst.rate = sel
-				k := gst.end - lo
-				remainingUnfrozen -= int(k)
-				frozenFlows += int(k)
-				if sel > 0 {
-					if rem := mRemaining[lo]; rem < dtThr {
-						if d := rem / sel; d < dt {
-							dt = d
-							dtThr = dt * sel * dtSlack
-						}
-					}
-				}
-				for _, l := range routes[g] {
-					st := &ls[l]
-					a := st.avail
-					// The unclamped chain is monotone decreasing
-					// (sel >= 0), so one clamp per segment lands on the
-					// same float64 the rescan's per-step clamps do.
-					for i := int32(0); i < k; i++ {
-						a -= sel
-					}
-					if a < 0 {
-						a = 0
-					}
-					st.avail = a
-					if n := st.unfrozen - k; n > 0 {
-						st.unfrozen = n
-						// Dip check, division-free: the reciprocal
-						// multiply is within a few ulps of the exact
-						// share, so a bit pattern at least 8 above the
-						// filed bucket's floor proves the share has not
-						// dipped below it and the entry stays valid. Only
-						// near-floor touches divide to decide, and only
-						// confirmed dips (rare: clamping or rounding
-						// moved the share down) refile — shares
-						// otherwise rise monotonically within an event,
-						// and the pop sweep lifts risen entries lazily.
-						if math.Float64bits(a*recipTab[n]) < uint64(st.inBucket)<<bShift+8 {
-							s := a / float64(n)
-							if db := int(math.Float64bits(s) >> bShift); db < int(st.inBucket) {
-								st.inBucket = int32(db)
-								if bucketStamp[db] != eventID {
-									bucketStamp[db] = eventID
-									bucket[db] = bucket[db][:0]
-								}
-								bitmap[db>>6] |= 1 << (uint(db) & 63)
-								bucket[db] = append(bucket[db], l)
-								if db < curB {
-									curB = db
-								}
-							}
-						}
-					} else {
-						st.unfrozen = 0
-					}
-				}
-			}
-			linkGroups[bott] = lg
-		}
-		if remainingUnfrozen > 0 {
-			// Unreachable freeze break: fall back to the stale rates of
-			// the unfrozen flows, exactly as the full rescan would.
-			for _, g := range activeGroups {
-				gst := &gs[g]
-				if gst.frozen || gst.rate <= 0 {
-					continue
-				}
-				if d := mRemaining[gst.front] / gst.rate; d < dt {
-					dt = d
-				}
-			}
-		}
-		res.Events++
-		cSimEvents.Inc()
-		cSimFreezeRounds.Add(int64(freezeRounds))
-		cSimFrozenFlows.Add(int64(frozenFlows))
-
-		if math.IsInf(dt, 1) {
-			break // starved flows: cannot progress (zero bandwidth)
-		}
-		now += dt
-		if u != nil {
-			for _, l := range activeLinks {
-				if liveOnLink[l] > 0 {
-					u.AddBusy(int(l), dt)
-				}
-			}
-		}
-		// Advance every live member by its group rate. All live members
-		// of a group subtract the identical rate*dt, so their remaining
-		// bytes keep the sorted order they started in and the members
-		// that finish this event are exactly a prefix of the group.
-		prevActive := active
-		for _, g := range activeGroups {
-			gst := &gs[g]
-			lo, hi := gst.front, gst.end
-			x := gst.rate * dt
-			done := lo
-			for i := lo; i < hi; i++ {
-				rem := mRemaining[i] - x
-				mRemaining[i] = rem
-				if done == i && rem <= 1e-9 {
-					done = i + 1
-				}
-			}
-			if done > lo {
-				gst.front = done
-				k := done - lo
-				active -= int(k)
-				if ft != nil {
-					stamp := now + p.SendOverhead + p.RecvOverhead + p.RouteLatency
-					for i := lo; i < done; i++ {
-						ft.Done[mMsgOf[i]] = stamp
-					}
-				}
-				for _, l := range routes[g] {
-					liveOnLink[l] -= k
-				}
-			}
-		}
-		simPhase.Add(int64(prevActive - active))
-	}
-	res.Time = now + overheadMax + p.RouteLatency
-	if ft != nil {
-		for g := 0; g < ngroups; g++ {
-			for i := gs[g].front; i < gs[g].end; i++ {
-				ft.Done[mMsgOf[i]] = res.Time
-			}
-		}
-	}
-	u.SetDuration(res.Time)
-	return res
-}
-
-// memberSort orders a group's members by initial size ascending,
-// keeping the size and message-index slices in step.
-type memberSort struct {
-	rem []float64
-	msg []int32
-}
-
-func (m *memberSort) Len() int           { return len(m.rem) }
-func (m *memberSort) Less(i, j int) bool { return m.rem[i] < m.rem[j] }
-func (m *memberSort) Swap(i, j int) {
-	m.rem[i], m.rem[j] = m.rem[j], m.rem[i]
-	m.msg[i], m.msg[j] = m.msg[j], m.msg[i]
+	info.Regions = rg.NumRegions()
+	info.ModelLinks = rg.NumModelLinks()
+	info.EndpointAgg = rg.EndpointAgg
+	res := simulateFlex(top, p, msgs, nil, opt.Times, workers, rg, info)
+	return res, info
 }

@@ -23,11 +23,11 @@ func telemetryWorkload(n, count int) (torus.Topology, []torus.Message) {
 // Per-link byte accounting must conserve traffic: every routed byte
 // crosses every link of its dimension-ordered route, so the per-link
 // totals sum to sum(bytes * hops) over the routed messages.
-func TestSimulateTelemetryBytesTimesHops(t *testing.T) {
+func TestUsageBytesTimesHops(t *testing.T) {
 	top, msgs := telemetryWorkload(128, 500)
 	p := params()
 	u := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-	res := SimulateTelemetry(top, p, msgs, u)
+	res, _ := SimulateOpt(top, p, msgs, Options{Workers: 1, Usage: u})
 	var want, flows int64
 	for _, m := range msgs {
 		if m.Src == m.Dst || m.Bytes == 0 {
@@ -66,36 +66,30 @@ func TestSimulateTelemetryBytesTimesHops(t *testing.T) {
 
 // Enabling telemetry must not perturb the simulation: the modeled
 // times are bit-identical with and without a recorder.
-func TestSimulateTelemetryBitIdentical(t *testing.T) {
+func TestUsageBitIdentical(t *testing.T) {
 	top, msgs := telemetryWorkload(128, 500)
 	p := params()
-	plain := Simulate(top, p, msgs)
+	plain := simulate(top, p, msgs)
 	u := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-	rec := SimulateTelemetry(top, p, msgs, u)
+	rec, _ := SimulateOpt(top, p, msgs, Options{Workers: 1, Usage: u})
 	if plain != rec {
 		t.Errorf("telemetry perturbed the simulation: %+v != %+v", rec, plain)
 	}
 }
 
-// With telemetry disabled, Simulate allocates exactly what the
-// telemetry-enabled path allocates minus the recorder's own state: the
-// nil path must not pay for the feature.
+// With telemetry disabled, SimulateOpt allocates only setup state. The
+// max-min state (avail/unfrozen, bucket queue) is hoisted out of the
+// completion loop and reset in place, so allocations come only from
+// setup (route and per-link flow lists). Re-allocating inside the loop
+// would add ~2 allocations per completion (+400 here) and trip this
+// bound.
 func TestSimulateAllocsTelemetryOff(t *testing.T) {
 	top, msgs := telemetryWorkload(64, 200)
 	p := params()
-	Simulate(top, p, msgs) // warm up
-	plain := testing.AllocsPerRun(5, func() { Simulate(top, p, msgs) })
-	nilTel := testing.AllocsPerRun(5, func() { SimulateTelemetry(top, p, msgs, nil) })
-	if plain != nilTel {
-		t.Errorf("nil-telemetry path allocates differently: %v vs %v", nilTel, plain)
-	}
-	// The max-min state (avail/unfrozen) is hoisted out of the
-	// completion loop and reset in place, so allocations come only from
-	// setup (route and per-link flow lists). Re-allocating inside the
-	// loop would add ~2 allocations per completion (+400 here) and trip
-	// this bound.
+	simulate(top, p, msgs) // warm up
+	plain := testing.AllocsPerRun(5, func() { simulate(top, p, msgs) })
 	if plain > 1500 {
-		t.Errorf("Simulate allocates %v per run; per-event state not hoisted?", plain)
+		t.Errorf("SimulateOpt allocates %v per run; per-event state not hoisted?", plain)
 	}
 }
 
@@ -105,7 +99,7 @@ func BenchmarkSimulate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Simulate(top, p, msgs)
+		SimulateOpt(top, p, msgs, Options{Workers: 1})
 	}
 }
 
@@ -116,6 +110,6 @@ func BenchmarkSimulateTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SimulateTelemetry(top, p, msgs, u)
+		SimulateOpt(top, p, msgs, Options{Workers: 1, Usage: u})
 	}
 }

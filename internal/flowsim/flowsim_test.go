@@ -13,11 +13,18 @@ func params() torus.Params {
 	return p
 }
 
+// simulate runs the exact kernel at gang width 1, the configuration
+// the bench callers use.
+func simulate(top torus.Topology, p torus.Params, msgs []torus.Message) Result {
+	r, _ := SimulateOpt(top, p, msgs, Options{Workers: 1})
+	return r
+}
+
 func TestSingleFlowLinkSpeed(t *testing.T) {
 	top := torus.NewTopology(8)
 	p := params()
 	bytes := int64(64 << 20)
-	r := Simulate(top, p, []torus.Message{{Src: 0, Dst: 1, Bytes: bytes}})
+	r := simulate(top, p, []torus.Message{{Src: 0, Dst: 1, Bytes: bytes}})
 	want := float64(bytes)/p.LinkBandwidth + p.SendOverhead + p.RecvOverhead + p.RouteLatency
 	if math.Abs(r.Time-want) > 1e-6*want {
 		t.Errorf("single flow time %v, want %v", r.Time, want)
@@ -33,7 +40,7 @@ func TestSharedLinkHalves(t *testing.T) {
 	p := params()
 	bytes := int64(8 << 20)
 	// 0->2 and 0->2 share links (0->1, 1->2).
-	r := Simulate(top, p, []torus.Message{
+	r := simulate(top, p, []torus.Message{
 		{Src: 0, Dst: 2, Bytes: bytes},
 		{Src: 0, Dst: 2, Bytes: bytes},
 	})
@@ -55,7 +62,7 @@ func TestDisjointFlowsParallel(t *testing.T) {
 		{Src: 20, Dst: 21, Bytes: bytes},
 		{Src: 40, Dst: 41, Bytes: bytes},
 	}
-	r := Simulate(top, p, msgs)
+	r := simulate(top, p, msgs)
 	want := float64(bytes) / p.LinkBandwidth
 	if math.Abs(r.Time-want)/want > 0.01 {
 		t.Errorf("disjoint flows time %v, want ~%v", r.Time, want)
@@ -68,7 +75,7 @@ func TestShortFlowReturnsBandwidth(t *testing.T) {
 	top := torus.Topology{Dims: grid.I(4, 1, 1)}
 	p := params()
 	long, short := int64(32<<20), int64(4<<20)
-	r := Simulate(top, p, []torus.Message{
+	r := simulate(top, p, []torus.Message{
 		{Src: 0, Dst: 1, Bytes: long},
 		{Src: 0, Dst: 1, Bytes: short},
 	})
@@ -87,7 +94,7 @@ func TestShortFlowReturnsBandwidth(t *testing.T) {
 func TestSelfAndEmptyMessages(t *testing.T) {
 	top := torus.NewTopology(8)
 	p := params()
-	r := Simulate(top, p, []torus.Message{{Src: 3, Dst: 3, Bytes: 1 << 20}, {Src: 0, Dst: 1, Bytes: 0}})
+	r := simulate(top, p, []torus.Message{{Src: 3, Dst: 3, Bytes: 1 << 20}, {Src: 0, Dst: 1, Bytes: 0}})
 	if r.Completions != 0 {
 		t.Errorf("completions = %d", r.Completions)
 	}
@@ -111,7 +118,7 @@ func TestAgreesWithBottleneckModel(t *testing.T) {
 			Bytes: int64(64<<10 + (i%7)*8192),
 		})
 	}
-	sim := Simulate(top, p, msgs)
+	sim := simulate(top, p, msgs)
 	model := torus.Phase(top, p, msgs, true)
 	ratio := sim.Time / model.Time
 	if ratio < 0.4 || ratio > 2.5 {
@@ -119,11 +126,11 @@ func TestAgreesWithBottleneckModel(t *testing.T) {
 	}
 }
 
-// TestSimulateTimedBitIdentical pins the observation-only contract:
+// TestFlowTimesBitIdentical pins the observation-only contract:
 // attaching a FlowTimes must not change the simulated result, and the
 // per-message completion times must be positive, bounded by the phase
 // time, with the last completion equal to the bandwidth-limited part.
-func TestSimulateTimedBitIdentical(t *testing.T) {
+func TestFlowTimesBitIdentical(t *testing.T) {
 	top := torus.NewTopology(64)
 	p := params()
 	msgs := []torus.Message{
@@ -133,9 +140,9 @@ func TestSimulateTimedBitIdentical(t *testing.T) {
 		{Src: 9, Dst: 12, Bytes: 0},      // empty: overhead only
 		{Src: 30, Dst: 31, Bytes: 2 << 20},
 	}
-	base := Simulate(top, p, msgs)
+	base := simulate(top, p, msgs)
 	var ft FlowTimes
-	timed := SimulateTimed(top, p, msgs, nil, &ft)
+	timed, _ := SimulateOpt(top, p, msgs, Options{Workers: 1, Times: &ft})
 	if base != timed {
 		t.Fatalf("FlowTimes changed the result: %+v vs %+v", base, timed)
 	}

@@ -7,12 +7,12 @@ import (
 	"bgpvr/internal/torus"
 )
 
-// simulateRescanTimed is the original full-rescan formulation of
-// SimulateTimed, kept verbatim as the executable specification the
-// sparse kernel is pinned against: every event it resets and rescans
+// simulateRescanTimed is the original full-rescan formulation of the
+// exact kernel, kept verbatim as the executable specification
+// SimulateOpt is pinned against: every event it resets and rescans
 // every flow and every link in the machine. Equivalence tests compare
-// the two bit-for-bit (Result, FlowTimes, link telemetry); the
-// BenchmarkFlowsimDirectSend legs measure the speedup.
+// the two bit-for-bit (Result, FlowTimes, link telemetry) at every
+// gang width; the BenchmarkFlowsimDirectSend legs measure the speedup.
 func simulateRescanTimed(top torus.Topology, p torus.Params, msgs []torus.Message, u *telemetry.LinkUsage, ft *FlowTimes) Result {
 	type flow struct {
 		links     []int

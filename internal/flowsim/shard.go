@@ -10,116 +10,45 @@ import (
 	"bgpvr/internal/torus"
 )
 
-// Options configures SimulateOpt beyond the plain Simulate surface.
-type Options struct {
-	// Usage, when non-nil, accumulates per-link telemetry exactly as
-	// SimulateTelemetry does. Only honored in exact mode: the clustered
-	// approximation simulates aggregated model links whose indices do
-	// not name physical links, so Usage is ignored when ApproxEps
-	// engages a coarser-than-exact clustering.
-	Usage *telemetry.LinkUsage
-	// Times, when non-nil, receives per-message completion times like
-	// SimulateTimed.
-	Times *FlowTimes
-	// Workers shards the event loop's per-round work (link-state
-	// updates, bucket refiling, flow advancement) over a persistent
-	// par.Gang. Results are bit-identical at every width; <= 0 means
-	// all cores, 1 disables sharding.
-	Workers int
-	// ApproxEps > 0 enables the clustered contention approximation
-	// with the given relative-error budget: torus links are grouped
-	// into regions (torus.SideForEps picks the cluster side), flows
-	// contend exactly on links inside their endpoint regions and
-	// against pooled directional capacity in transit regions, and the
-	// result is clamped to the certifiable physical-bottleneck lower
-	// bound. Eps below the smallest calibrated band degrades to the
-	// exact kernel.
-	ApproxEps float64
-	// EndpointAgg additionally aggregates the interior hops of each
-	// flow's endpoint regions (torus.Regions.EndpointAgg): only the
-	// injection hop out of the source node and the ejection hop into
-	// the destination node keep their physical identity, so the
-	// per-flow endpoint fan — the dominant model-link population on
-	// direct-send workloads past 32K ranks — collapses onto the same
-	// regional aggregates transit hops use. Only meaningful with
-	// ApproxEps > 0; it engages when the decomposition is coarse
-	// enough to pay (side >= 4 and at least endpointAggMinRegions
-	// regions — below that nearly every hop is an injection/ejection
-	// hop already and pooling would spend accuracy for nothing).
-	// ApproxInfo.EndpointAgg reports whether it actually engaged.
-	EndpointAgg bool
+// bShift buckets shares by the top 64-bShift bits of their float64 bit
+// pattern (sign always 0: shares are non-negative), so bucket indices
+// order exactly like share values. 48 keeps 4 mantissa bits, i.e.
+// buckets ~6% wide in share value: coarse enough that many touches
+// leave a link's share inside its current bucket (refiles are the
+// dominant bookkeeping cost), fine enough that the lowest occupied
+// bucket stays small to scan, and the whole structure (2^16 buckets)
+// stays cache-resident.
+const (
+	bShift   = 48
+	nBuckets = 1 << (64 - bShift)
+)
+
+// dtSlack pads the completion-time skip bound: a candidate with
+// remaining >= dt*sel*dtSlack satisfies fl(remaining/sel) > dt under
+// any round-to-nearest outcome (the pad dwarfs the few ulps the
+// multiply and divide can each contribute), so skipping its division
+// can never change the running minimum.
+const dtSlack = 1.000000000001
+
+// linkState packs each link's max-min scratch state into 16 bytes: the
+// freeze inner loop reads and writes all three fields per touched link,
+// so density here is memory traffic in the hottest loop of the kernel.
+// The share itself is not cached — the pop scan recomputes the exact
+// avail/unfrozen division for the handful of links it examines, which
+// is far cheaper than dividing on every one of the billions of touches.
+type linkState struct {
+	avail    float64 // bandwidth not yet claimed by frozen flows
+	unfrozen int32   // live flows not yet frozen this event
+	inBucket int32   // bucket currently holding this link's valid entry
 }
 
-// endpointAggMinRegions is the engagement floor for Options.EndpointAgg:
-// decompositions with fewer regions keep endpoint hops physical even
-// when the dial is on (they are dominated by injection/ejection hops,
-// which stay physical regardless).
-const endpointAggMinRegions = 8
-
-// ApproxInfo reports what the clustered contention approximation did;
-// SimulateOpt returns nil when ApproxEps was not engaged.
-type ApproxInfo struct {
-	Eps        float64 // the requested bound
-	Side       int     // cluster side chosen by SideForEps
-	Regions    int     // clusters in the decomposition
-	PhysLinks  int     // physical directed links
-	ModelLinks int     // simulated model links (aggregates + exact)
-	// EndpointAgg reports whether endpoint-hop aggregation engaged
-	// (Options.EndpointAgg requested it and the decomposition cleared
-	// the engagement floor).
-	EndpointAgg bool
-	// UsedLinks counts the model links the streamed flows actually
-	// reference — the live population the event loop iterates, and the
-	// number endpoint aggregation exists to shrink (ModelLinks is just
-	// the id-space size).
-	UsedLinks int
-	// LowerBound is the certifiable completion-time floor: the
-	// heaviest physical link's load over its bandwidth, plus the
-	// endpoint overheads and route latency every flow pays. The exact
-	// kernel can never finish below it.
-	LowerBound float64
-	// Clamped reports whether the raw approximate time fell below
-	// LowerBound and was lifted onto it (completion times rescaled).
-	Clamped bool
-	// BoundGap is (Time - LowerBound) / Time: the residual
-	// uncertainty band above the certifiable floor. The exact result
-	// lives somewhere in that band, so BoundGap is a self-measured
-	// error bound that needs no exact run.
-	BoundGap float64
-}
-
-// SimulateOpt runs the phase like SimulateTimed with optional event-
-// loop sharding and the optional clustered contention approximation.
-// With Options{} it is exactly Simulate; with only Workers set the
-// result (times, telemetry, completion stamps) is bit-identical to the
-// serial sparse kernel — the sharding only changes who computes each
-// link's update, never the order the updates apply in.
-func SimulateOpt(top torus.Topology, p torus.Params, msgs []torus.Message, opt Options) (Result, *ApproxInfo) {
-	workers := par.Workers(opt.Workers)
-	if opt.ApproxEps <= 0 {
-		return simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil), nil
-	}
-	side := torus.SideForEps(opt.ApproxEps)
-	info := &ApproxInfo{Eps: opt.ApproxEps, Side: side, PhysLinks: top.NumLinks()}
-	if side <= 1 {
-		// Degrade to exact: the clustering would keep every hop's
-		// physical identity anyway, so run the exact kernel and report
-		// a zero-width error band.
-		res := simulateFlex(top, p, msgs, opt.Usage, opt.Times, workers, nil, nil)
-		info.Regions = top.Nodes()
-		info.ModelLinks = top.NumLinks()
-		info.LowerBound = res.Time
-		return res, info
-	}
-	rg := torus.NewRegions(top, side)
-	if opt.EndpointAgg && side >= 4 && rg.NumRegions() >= endpointAggMinRegions {
-		rg.EndpointAgg = true
-	}
-	info.Regions = rg.NumRegions()
-	info.ModelLinks = rg.NumModelLinks()
-	info.EndpointAgg = rg.EndpointAgg
-	res := simulateFlex(top, p, msgs, nil, opt.Times, workers, rg, info)
-	return res, info
+// groupState likewise packs each same-route group's hot state: the
+// freeze pass reads front/end/frozen and writes rate for every group
+// on the bottleneck's list, round after round.
+type groupState struct {
+	rate       float64 // members' common rate (stale until refrozen)
+	front, end int32   // live members are mRemaining[front:end]
+	frozen     bool
 }
 
 // roundGroup is one group frozen in the current freeze round, with its
@@ -138,13 +67,14 @@ var (
 	shardMinScan    = 4096 // pop sweep: bucket entries scanned
 )
 
-// simulateFlex is the generalized sparse kernel behind SimulateOpt: it
-// adds (a) per-link capacities and weighted route entries, which is
-// what the clustered approximation simulates on (rg != nil), and (b)
-// gang-sharded per-round work, partitioned by link index modulo the
-// gang width with worker-local refile buffers merged in deterministic
-// order. With rg == nil and any worker count it reproduces
-// SimulateTimed bit-for-bit (the shard equivalence suite pins this).
+// simulateFlex is the sparse max-min kernel behind SimulateOpt. Beyond
+// exact max-min on physical links it supports (a) per-link capacities
+// and weighted route entries, which is what the clustered
+// approximation simulates on (rg != nil), and (b) gang-sharded
+// per-round work, partitioned by link index modulo the gang width with
+// worker-local refile buffers merged in deterministic order. With
+// rg == nil and any worker count it reproduces the full-rescan
+// specification bit-for-bit (the equivalence suite pins this).
 func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 	u *telemetry.LinkUsage, ft *FlowTimes, workers int, rg *torus.Regions, info *ApproxInfo) Result {
 	var overheadMax float64
@@ -162,10 +92,17 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 		ft.Done = make([]float64, len(msgs))
 	}
 
-	// Group messages by (src, dst) endpoint pair exactly as the serial
-	// kernel does. In approx mode each group's physical route is mapped
-	// hop by hop into model-link space, with consecutive hops through
-	// the same transit aggregate merged into one weighted entry.
+	// Group messages by (src, dst) endpoint pair: deterministic
+	// dimension-ordered routing gives every flow of a pair the identical
+	// link list, so max-min fairness freezes them in the same round at
+	// the same share in every event — identical rates always. The whole
+	// group can therefore be frozen with one pass over its route, and
+	// because all live members drain at one common rate their remaining
+	// bytes keep the order they started in: members are sorted by size
+	// ascending once, and completions simply advance a per-group front.
+	// In approx mode each group's physical route is mapped hop by hop
+	// into model-link space, with consecutive hops through the same
+	// transit aggregate merged into one weighted entry.
 	gidOf := make(map[int64]int32, len(msgs))
 	var routes [][]int32   // per-group model link list
 	var mults [][]int32    // per-entry weights (nil in exact mode)
@@ -267,6 +204,12 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 	res := Result{Completions: nflows}
 	now := 0.0
 	active := nflows
+	// Sparse active sets: the groups still in flight and the links they
+	// cross, both compacted in place as members complete. Flows never
+	// start mid-phase, so both sets only shrink; the scratch arrays stay
+	// full-size but only active entries are ever read or reset, so one
+	// call allocates a fixed number of slices regardless of how many
+	// events it processes.
 	activeGroups := make([]int32, ngroups)
 	for g := range activeGroups {
 		activeGroups[g] = int32(g)
@@ -285,8 +228,8 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 		gs[g] = groupState{front: mOff[g], end: mOff[g+1]}
 	}
 	ls := make([]linkState, nlinks)
-	// Exact mode files event resets from the same precomputed
-	// fl(BW/n) bucket table the serial kernel uses; the capacity-aware
+	// Live counts are small integers, so exact mode files event resets
+	// from a precomputed table of fl(BW/n) buckets; the capacity-aware
 	// path divides per active link instead (capacities vary per link).
 	var bucketTab []int32
 	if capOf == nil {
@@ -371,7 +314,7 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 					// Weighted (approx) entries claim their whole
 					// share in one multiply — aggregates can carry
 					// thousands of weight units, and approx mode has
-					// no serial-reference bit pattern to preserve.
+					// no rescan-reference bit pattern to preserve.
 					kk *= mls[j]
 					a -= sel * float64(kk)
 				} else {
@@ -497,6 +440,19 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 		}
 	}
 
+	// Bottleneck selection uses a monotone bucket queue keyed by the
+	// IEEE bit pattern of each link's current share. Every live link
+	// has exactly one valid entry, filed at or BELOW the bucket of its
+	// current share. Shares only rise within an event (freezing a flow
+	// capped below a link's fair share raises the survivors' share), so
+	// a touch normally leaves the entry in place and the pop sweep lifts
+	// stale entries when it reaches them; the rare genuine dips
+	// (clamping plus rounding) are caught by a guard-banded multiply
+	// and refiled eagerly. The sweep recomputes exact shares in the
+	// lowest occupied bucket, so the selected minimum — smallest share,
+	// ties to the lowest link index — is bit-for-bit the rescan's.
+	// Bucket lists are truncated lazily on first use per event
+	// (bucketStamp).
 	bucket := make([][]int32, nBuckets)
 	bucketStamp := make([]int32, nBuckets)
 	bitmap := make([]uint64, nBuckets/64)
@@ -514,8 +470,34 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 			curB = int(b)
 		}
 	}
+	// retire completes group g's k front members at time now: the
+	// group front moves past them, their completion stamps are
+	// recorded, and their routes' live counts drop.
+	retire := func(g, k int32) {
+		gst := &gs[g]
+		lo := gst.front
+		gst.front = lo + k
+		active -= int(k)
+		if ft != nil {
+			stamp := now + p.SendOverhead + p.RecvOverhead + p.RouteLatency
+			for i := lo; i < lo+k; i++ {
+				ft.Done[mMsgOf[i]] = stamp
+			}
+		}
+		if mults == nil {
+			for _, l := range routes[g] {
+				liveOnLink[l] -= k
+			}
+			return
+		}
+		for j, l := range routes[g] {
+			liveOnLink[l] -= k * mults[g][j]
+		}
+	}
 	roundGroups := make([]roundGroup, 0, ngroups)
 	for active > 0 {
+		// Drop finished groups and idle links, preserving order; reset
+		// the per-event freeze state.
 		w := 0
 		for _, g := range activeGroups {
 			if st := &gs[g]; st.front < st.end {
@@ -536,8 +518,8 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 
 		// Reset the bucket queue for this event. The share computation
 		// per link shards across the gang; the queue pushes stay
-		// serial in activeLinks order, so the queue's contents are
-		// the serial kernel's.
+		// serial in activeLinks order, so the queue's contents do not
+		// depend on the gang width.
 		clear(bitmap)
 		eventID++
 		curB = nBuckets
@@ -565,6 +547,13 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 			}
 		}
 
+		// Max-min fair allocation: repeatedly freeze the flows crossing
+		// the currently most-contended link at its fair share. The next
+		// completion time is folded into the same pass: every live group
+		// is frozen exactly once per event at its members' common rate,
+		// and rounding is monotone, so the running minimum of
+		// front-member-remaining/share over freeze operations equals the
+		// full scan's minimum of remaining/rate over every flow.
 		dt := math.Inf(1)
 		remainingUnfrozen := active
 		freezeRounds, frozenFlows := 0, 0 // flushed to obs counters per event
@@ -619,6 +608,10 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 						refBuf[w] = refBuf[w][:0]
 					}
 				} else {
+					// Compact out entries whose link moved or saturated,
+					// lift risen entries to their exact bucket (tb > b
+					// always), and take the exact (share, index)
+					// minimum of the rest.
 					for _, l32 := range lst {
 						st := &ls[l32]
 						if st.inBucket != int32(b) || st.unfrozen == 0 {
@@ -656,8 +649,14 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 			freezeRounds++
 			// Pass 1, serial: settle which groups freeze this round,
 			// their weights, the completion-time fold, and the
-			// bottleneck's compacted group list — everything whose
-			// order the result can observe.
+			// bottleneck's compacted group list (finished groups are
+			// dropped lazily, order preserved) — everything whose order
+			// the result can observe. dtThr is a provably safe skip
+			// bound for the fold: rem >= dt*sel*(1+1e-12) implies
+			// fl(rem/sel) > dt even after rounding, so only
+			// near-minimum candidates pay the division, and the
+			// divisions that do run are the identical fl(rem/sel) the
+			// rescan computes.
 			dtThr := dt * sel * dtSlack
 			roundGroups = roundGroups[:0]
 			touches := 0
@@ -695,7 +694,10 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 			// owns every occurrence of its links — and buffered
 			// refiles merge in worker order, which the bucket queue
 			// cannot observe (selection is an order-independent
-			// minimum).
+			// minimum). A group's k members claim sel together, as
+			// the rescan freezes them one by one: the unclamped chain
+			// is monotone decreasing, so one clamp lands on the float64
+			// the rescan's per-step clamps do.
 			rnd.sel = sel
 			rnd.groups = roundGroups
 			if gang != nil && touches >= shardMinTouches {
@@ -784,22 +786,9 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 			rnd.dt = dt
 			gang.Run(advanceShard)
 			for pos, g := range activeGroups {
-				k := doneK[pos]
-				if k == 0 {
-					continue
+				if k := doneK[pos]; k > 0 {
+					retire(g, k)
 				}
-				gst := &gs[g]
-				lo := gst.front
-				done := lo + k
-				gst.front = done
-				active -= int(k)
-				if ft != nil {
-					stamp := now + p.SendOverhead + p.RecvOverhead + p.RouteLatency
-					for i := lo; i < done; i++ {
-						ft.Done[mMsgOf[i]] = stamp
-					}
-				}
-				decLive(liveOnLink, routes[g], multsOf(g, mults), k)
 			}
 		} else {
 			for _, g := range activeGroups {
@@ -815,16 +804,7 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 					}
 				}
 				if done > lo {
-					gst.front = done
-					k := done - lo
-					active -= int(k)
-					if ft != nil {
-						stamp := now + p.SendOverhead + p.RecvOverhead + p.RouteLatency
-						for i := lo; i < done; i++ {
-							ft.Done[mMsgOf[i]] = stamp
-						}
-					}
-					decLive(liveOnLink, routes[g], multsOf(g, mults), k)
+					retire(g, done-lo)
 				}
 			}
 		}
@@ -834,8 +814,8 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 	// only be optimistic (it averages away intra-pool imbalance), so
 	// an approximate finish below the heaviest physical link's
 	// drain time is lifted onto it, completion stamps rescaled in
-	// proportion. The residual band above the floor is the
-	// self-measured error bound.
+	// proportion. The gap left above the floor is reported as
+	// BoundGap, which is not an error bound (see ApproxInfo).
 	if info != nil {
 		oh := overheadMax + p.RouteLatency
 		if now < lbNow && now > 0 {
@@ -870,23 +850,16 @@ func simulateFlex(top torus.Topology, p torus.Params, msgs []torus.Message,
 	return res
 }
 
-// multsOf returns a group's route weights, nil in exact mode.
-func multsOf(g int32, mults [][]int32) []int32 {
-	if mults == nil {
-		return nil
-	}
-	return mults[g]
+// memberSort orders a group's members by initial size ascending,
+// keeping the size and message-index slices in step.
+type memberSort struct {
+	rem []float64
+	msg []int32
 }
 
-// decLive retires k completed members from every link of a route.
-func decLive(liveOnLink []int32, route, ws []int32, k int32) {
-	if ws == nil {
-		for _, l := range route {
-			liveOnLink[l] -= k
-		}
-		return
-	}
-	for j, l := range route {
-		liveOnLink[l] -= k * ws[j]
-	}
+func (m *memberSort) Len() int           { return len(m.rem) }
+func (m *memberSort) Less(i, j int) bool { return m.rem[i] < m.rem[j] }
+func (m *memberSort) Swap(i, j int) {
+	m.rem[i], m.rem[j] = m.rem[j], m.rem[i]
+	m.msg[i], m.msg[j] = m.msg[j], m.msg[i]
 }

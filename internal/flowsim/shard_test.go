@@ -2,12 +2,7 @@ package flowsim
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
-
-	"bgpvr/internal/grid"
-	"bgpvr/internal/telemetry"
-	"bgpvr/internal/torus"
 )
 
 // forceSharding lowers the shard engagement thresholds so every gang
@@ -22,44 +17,18 @@ func forceSharding(t *testing.T) {
 	})
 }
 
-// TestShardedMatchesSerial pins the sharded event loop against the
-// serial sparse kernel the same way reference_test pins the sparse
-// kernel against the full rescan: Result, per-message completion
-// times, and per-link telemetry must be bit-identical (exact float64
-// equality) at every worker count, with every sharded section forced
-// on.
+// TestShardedMatchesSerial pins the event loop at every gang width,
+// with every sharded section forced on, against the serial full-rescan
+// reference: Result, per-message completion times, and per-link
+// telemetry must be bit-identical (exact float64 equality).
 func TestShardedMatchesSerial(t *testing.T) {
 	forceSharding(t)
-	tops := []torus.Topology{
-		torus.NewTopology(64),
-		{Dims: grid.I(8, 1, 1)},
-		{Dims: grid.I(4, 2, 3)},
-	}
 	p := params()
-	for ti, top := range tops {
-		nodes := top.Nodes()
-		for seed := int64(0); seed < 6; seed++ {
+	for ti, top := range equivTops() {
+		for seed := int64(0); seed < 8; seed++ {
 			for _, workers := range []int{1, 2, 3, 4, 8} {
 				t.Run(fmt.Sprintf("top%d/seed%d/w%d", ti, seed, workers), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(seed*977 + int64(ti)))
-					msgs := randomMsgs(rng, nodes, 20+rng.Intn(120))
-					uW := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-					uS := telemetry.NewLinkUsage(top.NumLinks(), p.LinkBandwidth)
-					var ftW, ftS FlowTimes
-					got, info := SimulateOpt(top, p, msgs, Options{Usage: uW, Times: &ftW, Workers: workers})
-					if info != nil {
-						t.Fatalf("exact mode returned ApproxInfo %+v", info)
-					}
-					want := SimulateTimed(top, p, msgs, uS, &ftS)
-					if got != want {
-						t.Errorf("workers=%d Result %+v, serial %+v", workers, got, want)
-					}
-					for i := range msgs {
-						if ftW.Done[i] != ftS.Done[i] {
-							t.Fatalf("workers=%d msg %d done %v, serial %v", workers, i, ftW.Done[i], ftS.Done[i])
-						}
-					}
-					sameUsage(t, uW, uS)
+					matchesRescan(t, top, p, equivMsgs(top, ti, seed), Options{Workers: workers})
 				})
 			}
 		}
@@ -75,33 +44,17 @@ func TestShardedMatchesSerialAtScale(t *testing.T) {
 	}
 	top, p, msgs := directSendPhase(1024)
 	var ftS FlowTimes
-	want := SimulateTimed(top, p, msgs, nil, &ftS)
+	want, _ := SimulateOpt(top, p, msgs, Options{Times: &ftS, Workers: 1})
 	for _, workers := range []int{2, 4} {
 		var ftW FlowTimes
 		got, _ := SimulateOpt(top, p, msgs, Options{Times: &ftW, Workers: workers})
 		if got != want {
-			t.Errorf("workers=%d Result %+v, serial %+v", workers, got, want)
+			t.Errorf("workers=%d Result %+v, width 1 %+v", workers, got, want)
 		}
 		for i := range msgs {
 			if ftW.Done[i] != ftS.Done[i] {
-				t.Fatalf("workers=%d msg %d done %v, serial %v", workers, i, ftW.Done[i], ftS.Done[i])
+				t.Fatalf("workers=%d msg %d done %v, width 1 %v", workers, i, ftW.Done[i], ftS.Done[i])
 			}
 		}
-	}
-}
-
-// TestOptionsZeroIsSimulate checks the Options{} surface degenerates
-// to the plain serial kernel.
-func TestOptionsZeroIsSimulate(t *testing.T) {
-	top := torus.NewTopology(64)
-	p := params()
-	rng := rand.New(rand.NewSource(7))
-	msgs := randomMsgs(rng, top.Nodes(), 150)
-	got, info := SimulateOpt(top, p, msgs, Options{Workers: 1})
-	if info != nil {
-		t.Fatalf("unexpected ApproxInfo %+v", info)
-	}
-	if want := SimulateTimed(top, p, msgs, nil, nil); got != want {
-		t.Errorf("Result %+v, want %+v", got, want)
 	}
 }

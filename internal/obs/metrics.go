@@ -103,9 +103,7 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 // bucket is always appended.
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
 	return r.register(name, "histogram", func() metric {
-		h := &Histogram{name: name, help: help, bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		return h
+		return newHistogram(name, "", help, append([]float64(nil), bounds...))
 	}).(*Histogram)
 }
 
@@ -365,8 +363,7 @@ func (v *HistogramVec) With(labels string) *Histogram {
 	defer v.mu.Unlock()
 	h, ok := v.children[labels]
 	if !ok {
-		h = &Histogram{name: v.name, labels: labels, bounds: v.bounds}
-		h.counts = make([]atomic.Int64, len(v.bounds)+1)
+		h = newHistogram(v.name, labels, "", v.bounds)
 		if v.exemplars {
 			h.EnableExemplars()
 		}
@@ -414,19 +411,32 @@ func (v *HistogramVec) collect(out []Sample) []Sample {
 }
 
 // Histogram counts observations into fixed buckets. Observe is
-// lock-free: one atomic add on the bucket plus a CAS loop on the sum.
+// lock-free: one atomic add on the bucket plus CAS loops on the sum and
+// on the exact minimum and maximum observed.
 type Histogram struct {
 	name, help string
 	labels     string // rendered label list when part of a HistogramVec
 	bounds     []float64
 	counts     []atomic.Int64 // len(bounds)+1; last is +Inf
 	sumBits    atomic.Uint64
+	// minBits and maxBits hold the extreme observations (+Inf and -Inf
+	// before the first), so Quantile can clamp its bucket estimate into
+	// the range actually seen.
+	minBits, maxBits atomic.Uint64
 	// exemplars, when enabled, holds one last-exemplar slot per bucket
 	// (len(bounds)+1, matching counts). The slice pointer doubles as the
 	// on/off switch: ObserveEx pays one atomic load when off and
 	// allocates nothing, so exemplar-capable call sites cost the same
 	// as Observe until EnableExemplars flips them on.
 	exemplars atomic.Pointer[[]atomic.Pointer[Exemplar]]
+}
+
+func newHistogram(name, labels, help string, bounds []float64) *Histogram {
+	h := &Histogram{name: name, labels: labels, help: help, bounds: bounds}
+	h.counts = make([]atomic.Int64, len(bounds)+1)
+	h.minBits.Store(floatBits(math.Inf(1)))
+	h.maxBits.Store(floatBits(math.Inf(-1)))
+	return h
 }
 
 // Exemplar links one observed value to the trace that produced it —
@@ -463,6 +473,21 @@ func (h *Histogram) ObserveEx(v float64, traceID string) {
 }
 
 func (h *Histogram) observe(v float64) int {
+	// The extremes move before the count does, so any reader that sees
+	// this observation counted also sees it inside [min, max]. A NaN
+	// fails both comparisons and never becomes an extreme.
+	for {
+		old := h.minBits.Load()
+		if !(v < floatFromBits(old)) || h.minBits.CompareAndSwap(old, floatBits(v)) {
+			break
+		}
+	}
+	for {
+		old := h.maxBits.Load()
+		if !(v > floatFromBits(old)) || h.maxBits.CompareAndSwap(old, floatBits(v)) {
+			break
+		}
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	for {
@@ -524,10 +549,11 @@ func (h *Histogram) Sum() float64 { return floatFromBits(h.sumBits.Load()) }
 // non-decreasing in q and exact at bucket edges. The first bucket
 // interpolates from zero (observations are assumed non-negative, which
 // holds for the durations and sizes this package tracks). A rank
-// landing in the +Inf overflow bucket returns the highest finite
-// bound — the histogram cannot resolve beyond it. Returns NaN on an
-// empty histogram, when the histogram has no finite buckets, or when q
-// is outside [0, 1].
+// landing in the +Inf overflow bucket takes the highest finite bound.
+// The estimate is then clamped into the exact [min, max] of the
+// observations, so no quantile exceeds the slowest sample observed or
+// undercuts the fastest. Returns NaN on an empty histogram, when the
+// histogram has no finite buckets, or when q is outside [0, 1].
 func (h *Histogram) Quantile(q float64) float64 {
 	if q < 0 || q > 1 || len(h.bounds) == 0 {
 		return math.NaN()
@@ -543,7 +569,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if total == 0 {
 		return math.NaN()
 	}
-	rank := q * float64(total)
+	lo, hi := floatFromBits(h.minBits.Load()), floatFromBits(h.maxBits.Load())
+	return min(max(h.bucketQuantile(counts, q*float64(total)), lo), hi)
+}
+
+// bucketQuantile interpolates the value at the given cumulative rank
+// from a snapshot of the bucket counts.
+func (h *Histogram) bucketQuantile(counts []int64, rank float64) float64 {
 	var cum float64
 	for i, c := range counts[:len(counts)-1] {
 		prev := cum

@@ -141,20 +141,24 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 
 	// Single finite bucket: 4 observations land in (0, 10]; quantiles
-	// interpolate linearly from the bucket's lower edge (0).
+	// interpolate linearly from the bucket's lower edge (0), then clamp
+	// into the observed range [2, 8].
 	single := r.NewHistogram("q_single", "s", []float64{10})
-	for i := 0; i < 4; i++ {
-		single.Observe(5)
+	for _, v := range []float64{2, 4, 6, 8} {
+		single.Observe(v)
 	}
 	if v := single.Quantile(0.5); v != 5 {
 		t.Errorf("single-bucket Quantile(0.5) = %v, want 5", v)
 	}
-	if v := single.Quantile(1); v != 10 {
-		t.Errorf("single-bucket Quantile(1) = %v, want 10", v)
+	if v := single.Quantile(0.1); v != 2 {
+		t.Errorf("single-bucket Quantile(0.1) = %v, want 2 (the minimum)", v)
+	}
+	if v := single.Quantile(1); v != 8 {
+		t.Errorf("single-bucket Quantile(1) = %v, want 8 (the maximum)", v)
 	}
 
 	// Uniform fill of (0,1],(1,2],(2,4]: the median sits exactly at a
-	// bucket edge, p75 halfway into the last bucket.
+	// bucket edge, and the top rank clamps to the largest observation.
 	h := r.NewHistogram("q_uniform", "u", []float64{1, 2, 4})
 	for _, v := range []float64{0.5, 0.5, 1.5, 1.5, 3, 3} {
 		h.Observe(v)
@@ -165,8 +169,8 @@ func TestHistogramQuantile(t *testing.T) {
 	if v := h.Quantile(1.0 / 6); v != 0.5 {
 		t.Errorf("Quantile(1/6) = %v, want 0.5", v)
 	}
-	if v := h.Quantile(1); v != 4 {
-		t.Errorf("Quantile(1) = %v, want 4", v)
+	if v := h.Quantile(1); v != 3 {
+		t.Errorf("Quantile(1) = %v, want 3 (the maximum)", v)
 	}
 	// Monotone in q.
 	prev := math.Inf(-1)
@@ -178,13 +182,14 @@ func TestHistogramQuantile(t *testing.T) {
 		prev = v
 	}
 
-	// Observations past the last finite bound land in +Inf: the
-	// estimate clamps to the highest finite bound.
+	// Observations past the last finite bound land in +Inf: the bucket
+	// estimate is the highest finite bound, which lies below every
+	// observation, so it clamps up to the minimum observed.
 	over := r.NewHistogram("q_over", "o", []float64{1, 2})
 	over.Observe(100)
 	over.Observe(200)
-	if v := over.Quantile(0.99); v != 2 {
-		t.Errorf("overflow-bucket Quantile(0.99) = %v, want 2 (highest finite bound)", v)
+	if v := over.Quantile(0.99); v != 100 {
+		t.Errorf("overflow-bucket Quantile(0.99) = %v, want 100 (the minimum)", v)
 	}
 
 	if v := h.Quantile(-0.1); !math.IsNaN(v) {
@@ -192,6 +197,31 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if v := h.Quantile(1.1); !math.IsNaN(v) {
 		t.Errorf("Quantile(1.1) = %v, want NaN", v)
+	}
+}
+
+// TestHistogramQuantileWithinObservedRange is the adversarial case for
+// bucket interpolation: every sample sits just above a bucket's lower
+// edge, where the interpolated estimate runs far past the slowest
+// sample. No percentile may exceed the maximum observed or undercut
+// the minimum.
+func TestHistogramQuantileWithinObservedRange(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("q_adv", "a", ExpBuckets(0.001, 2, 12))
+	const lo, hi = 0.0320001, 0.0320009 // just above the 32ms edge
+	for i := 0; i < 1000; i++ {
+		h.Observe(lo + (hi-lo)*float64(i%10)/9)
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		v := h.Quantile(q)
+		if v > hi || v < lo {
+			t.Errorf("Quantile(%g) = %v outside the observed range [%v, %v]", q, v, lo, hi)
+		}
+	}
+	// A NaN observation never becomes an extreme.
+	h.Observe(math.NaN())
+	if v := h.Quantile(0.5); math.IsNaN(v) || v > hi || v < lo {
+		t.Errorf("after a NaN observation Quantile(0.5) = %v, want within [%v, %v]", v, lo, hi)
 	}
 }
 

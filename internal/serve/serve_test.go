@@ -269,8 +269,10 @@ func TestStatusQuantiles(t *testing.T) {
 	defer ts.Close()
 
 	hist := s.latency.With(obs.Labels("endpoint", "/render"))
-	for i := 0; i < 100; i++ {
-		hist.Observe(0.010) // all observations in the (8ms, 16ms] bucket
+	for i := 0; i < 50; i++ {
+		// All observations in the (8ms, 16ms] bucket.
+		hist.Observe(0.009)
+		hist.Observe(0.015)
 	}
 	s.requests.With(obs.Labels("endpoint", "/render", "code", "200")).Add(99)
 	s.requests.With(obs.Labels("endpoint", "/render", "code", "429")).Inc()
@@ -301,15 +303,16 @@ func TestStatusQuantiles(t *testing.T) {
 		t.Errorf("by-code counts = %+v", render)
 	}
 	// All 100 observations in (8, 16] ms: quantiles interpolate within
-	// that bucket, so p50 = 12ms and p99 = 15.92ms exactly.
+	// that bucket, so p50 = 12ms, and p99 would interpolate to 15.92ms
+	// but is clamped to the slowest request observed, 15ms.
 	if got := render.P50Ms; got != 12 {
 		t.Errorf("p50 = %v ms, want 12", got)
 	}
-	if got := render.P99Ms; got != 15.92 {
-		t.Errorf("p99 = %v ms, want 15.92", got)
+	if got := render.P99Ms; got != 15 {
+		t.Errorf("p99 = %v ms, want 15 (the slowest observation)", got)
 	}
-	if got := render.MeanMs; math.Abs(got-10) > 1e-9 {
-		t.Errorf("mean = %v ms, want 10", got)
+	if got := render.MeanMs; math.Abs(got-12) > 1e-9 {
+		t.Errorf("mean = %v ms, want 12", got)
 	}
 
 	// Text view renders the same numbers.
@@ -319,7 +322,7 @@ func TestStatusQuantiles(t *testing.T) {
 	}
 	tb, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(tb), "/render") || !strings.Contains(string(tb), "15.92") {
+	if !strings.Contains(string(tb), "/render") || !strings.Contains(string(tb), "15.00") {
 		t.Errorf("text status missing expected fields:\n%s", tb)
 	}
 }

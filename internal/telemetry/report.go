@@ -135,13 +135,14 @@ func (p ServicePoint) ErrorRate() float64 {
 // and, in approximate mode, its accuracy telemetry: the requested
 // error bound and the error actually observed. ObservedErr is the true
 // relative error when an exact cross-check ran (small configs), else
-// the self-measured bound gap — (time - certified lower bound)/time —
-// which bounds the true error from above.
+// the bound gap — (time - certified lower bound)/time — the distance
+// between two lower bounds on the exact time, which does not bound the
+// true error.
 type FlowsimStat struct {
 	ApproxEps   float64 `json:"approx_eps"`
 	ObservedErr float64 `json:"observed_err"`
 	// ErrExact marks ObservedErr as a true exact-vs-approx comparison
-	// rather than the self-measured bound gap.
+	// rather than the bound gap.
 	ErrExact      bool    `json:"err_exact,omitempty"`
 	RegionSide    int     `json:"region_side,omitempty"`
 	Regions       int     `json:"regions,omitempty"`

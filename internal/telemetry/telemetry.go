@@ -131,7 +131,8 @@ func (h *Histogram) String() string {
 }
 
 // LinkUsage accumulates per-directed-link load for one network phase.
-// It is filled by flowsim.SimulateTelemetry or torus.PhaseRecorded and
+// It is filled by flowsim.SimulateOpt (Options.Usage) or
+// torus.PhaseRecorded and
 // consumed by the exporters in this package. Not safe for concurrent
 // recording (both producers are single-threaded); every method is a
 // no-op on the nil receiver.
