@@ -301,16 +301,38 @@ func BenchmarkRenderBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkSupernovaEval measures synthetic-data generation.
-func BenchmarkSupernovaEval(b *testing.B) {
-	sn := volume.Supernova{Seed: 1, Time: 1}
-	dims := grid.Cube(1120)
-	var s float32
-	for i := 0; i < b.N; i++ {
-		s += sn.Eval(volume.VarVelocityX, dims, i%1120, (i*7)%1120, (i*13)%1120)
+// BenchmarkSupernovaGenerate measures synthetic-data generation on the
+// block one rank of an 8-rank 128^3 real frame fills: rank 0's extent
+// with the renderer's ghost layers. The main leg runs the block
+// generator; the spec leg fills the same block through Field.Fill and
+// the pointwise Eval it is bit-identical to. Both report ns/voxel.
+func BenchmarkSupernovaGenerate(b *testing.B) {
+	scene := core.DefaultScene(128, 512)
+	sn := scene.Supernova()
+	d := grid.NewDecomp(scene.Dims, 8)
+	ext := d.GhostExtent(0, render.GhostLayersFor(scene.RenderConfig()))
+	perVoxel := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ext.Count())/float64(b.N), "ns/voxel")
 	}
-	_ = s
+	b.Run("generate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkField = sn.Generate(scene.Variable, scene.Dims, ext)
+		}
+		perVoxel(b)
+	})
+	b.Run("spec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f := volume.NewField(scene.Dims, ext)
+			f.Fill(func(x, y, z int) float32 { return sn.Eval(scene.Variable, scene.Dims, x, y, z) })
+			sinkField = f
+		}
+		perVoxel(b)
+	})
 }
+
+// sinkField keeps generated fields live so the compiler cannot drop the
+// benchmarked calls.
+var sinkField *volume.Field
 
 // BenchmarkTorusPhase measures the network model on a 32K-rank
 // direct-send schedule — the heaviest model-mode computation.

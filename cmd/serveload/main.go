@@ -1,10 +1,12 @@
 // Command serveload load-tests the bgpvr render service. It drives
 // POST /render at one or more steady concurrency levels (a sweep) or
-// at a fixed concurrency for a wall-clock duration (a soak), measures
-// client-observed latency into the same log-bucketed histogram the
-// service uses for /status (obs.Histogram.Quantile), and prints one
-// table row per level: requests, 2xx/429/503 splits, throughput, and
-// p50/p90/p99. With -perf-report it writes a schema-versioned report
+// at a fixed concurrency for a wall-clock duration (a soak), keeps every
+// completed request's client-observed latency, and prints one table row
+// per level: requests, 2xx/429/503 splits, throughput, and exact
+// nearest-rank p50/p90/p99 over those samples. The last column is the
+// p99 the service's /status estimator (obs.Histogram.Quantile over the
+// same log-2 buckets) would report, as a cross-check of the server-side
+// numbers. With -perf-report it writes a schema-versioned report
 // carrying a service section that perfdiff -only service gates; with
 // -run-record it appends the same report to a runstore registry so
 // perfhistory tracks p99 and throughput across runs.
@@ -41,36 +43,83 @@ import (
 	"bgpvr/internal/obs"
 	"bgpvr/internal/runstore"
 	"bgpvr/internal/serve"
+	"bgpvr/internal/stats"
 	"bgpvr/internal/telemetry"
 )
 
 // point accumulates one concurrency level's outcomes.
 type point struct {
 	ok, rejected, deadline, errs atomic.Int64
-	hist                         *obs.Histogram
+	// hist buckets every request as the service's /status histogram
+	// does; only its p99 cross-check column reads it.
+	hist *obs.Histogram
 
 	mu        sync.Mutex
+	latMs     []float64 // client latency of every completed request
 	slowest   time.Duration
 	slowestID string   // server-assigned X-Request-ID of the slowest request
 	failIDs   []string // request IDs of non-2xx responses, capped
+}
+
+// newPoint returns level i's accumulator, its histogram registered in
+// reg with the same log-2 buckets the service's /status quantiles use.
+func newPoint(reg *obs.Registry, i int) *point {
+	return &point{hist: reg.NewHistogram(fmt.Sprintf("serveload_latency_%d", i),
+		"Client-observed request latency.", obs.ExpBuckets(0.001, 2, 15))}
 }
 
 // maxFailIDs caps the failed-request IDs kept per level; enough to
 // pull the traces, bounded so a full-rejection level stays readable.
 const maxFailIDs = 8
 
-// observe folds one finished request into the level's ID bookkeeping.
-// The server echoes its request ID in the X-Request-ID response
-// header, so a recorded ID is directly queryable at /traces/{id}.
+// observe records one finished request's latency and folds it into the
+// level's ID bookkeeping. The server echoes its request ID in the
+// X-Request-ID response header, so a recorded ID is directly queryable
+// at /traces/{id}.
 func (p *point) observe(d time.Duration, id string, failed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.latMs = append(p.latMs, d.Seconds()*1e3)
+	p.hist.Observe(d.Seconds())
 	if d > p.slowest {
 		p.slowest, p.slowestID = d, id
 	}
 	if failed && id != "" && len(p.failIDs) < maxFailIDs {
 		p.failIDs = append(p.failIDs, id)
 	}
+}
+
+// summarize fills sp's request count and latency fields from the
+// level's completed requests. The percentiles are nearest-rank over the
+// raw samples, so each is a latency some request had and none exceeds
+// SlowestMs.
+func (p *point) summarize(sp *telemetry.ServicePoint) {
+	sp.Requests = int64(len(p.latMs))
+	sp.SlowestMs = p.slowest.Seconds() * 1e3
+	sp.SlowestID = p.slowestID
+	sp.FailIDs = append([]string(nil), p.failIDs...)
+	if len(p.latMs) == 0 {
+		return
+	}
+	var sum float64
+	for _, ms := range p.latMs {
+		sum += ms
+	}
+	sp.MeanMs = sum / float64(len(p.latMs))
+	sp.P50Ms = stats.NearestRank(p.latMs, 0.5)
+	sp.P90Ms = stats.NearestRank(p.latMs, 0.9)
+	sp.P99Ms = stats.NearestRank(p.latMs, 0.99)
+}
+
+// tableHeader and tableRow format the per-level table; bucketP99Ms is
+// the histogram estimate printed as the last column.
+var tableHeader = fmt.Sprintf("%5s %9s %7s %7s %7s %7s %9s %9s %9s %9s %9s %9s",
+	"conc", "requests", "2xx", "429", "503", "err", "rps", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "bkt_p99")
+
+func tableRow(sp telemetry.ServicePoint, bucketP99Ms float64) string {
+	return fmt.Sprintf("%5d %9d %7d %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f",
+		sp.Concurrency, sp.Requests, sp.OK, sp.Rejected, sp.Deadline, sp.Errors,
+		sp.RPS, sp.MeanMs, sp.P50Ms, sp.P90Ms, sp.P99Ms, bucketP99Ms)
 }
 
 // run drives total requests (or, when total<0, keeps going until ctx
@@ -93,7 +142,6 @@ func (p *point) run(ctx context.Context, client *http.Client, url string, body [
 				t0 := time.Now()
 				code, id, err := post(ctx, client, url, body)
 				d := time.Since(t0)
-				p.hist.Observe(d.Seconds())
 				failed := true
 				switch {
 				case err != nil:
@@ -234,19 +282,14 @@ func main() {
 	}
 	stat := &telemetry.ServiceStat{Mode: kind, Target: statTarget}
 	reg := obs.NewRegistry()
-	// The same log-2 buckets the service's /status quantiles use, so
-	// client- and server-side percentiles are directly comparable.
-	buckets := obs.ExpBuckets(0.001, 2, 15)
 
 	fmt.Printf("serveload: %s against %s (%s mode, n=%d, procs=%d)\n", kind, base, *mode, *n, *procs)
-	fmt.Printf("%5s %9s %7s %7s %7s %7s %9s %9s %9s %9s %9s\n",
-		"conc", "requests", "2xx", "429", "503", "err", "rps", "mean_ms", "p50_ms", "p90_ms", "p99_ms")
+	fmt.Println(tableHeader)
 	var total2xx int64
 	var budgetViolations []string
 	var allFailIDs []string
 	for i, c := range levels {
-		p := &point{hist: reg.NewHistogram(fmt.Sprintf("serveload_latency_%d", i),
-			"Client-observed request latency.", buckets)}
+		p := newPoint(reg, i)
 		h0, m0, haveCache := cacheCounters(client, base)
 		ctx := context.Background()
 		totalReqs := int64(*requests)
@@ -258,15 +301,8 @@ func main() {
 		}
 		elapsed := p.run(ctx, client, base+"/render", body, c, totalReqs)
 
-		count := p.hist.Count()
-		if *soak > 0 {
-			// Latency observations include the requests the soak cut off;
-			// only completed ones count toward the outcome columns.
-			count = p.ok.Load() + p.rejected.Load() + p.deadline.Load() + p.errs.Load()
-		}
 		sp := telemetry.ServicePoint{
 			Concurrency: c,
-			Requests:    count,
 			OK:          p.ok.Load(),
 			Rejected:    p.rejected.Load(),
 			Deadline:    p.deadline.Load(),
@@ -276,24 +312,18 @@ func main() {
 		if sp.DurationSec > 0 {
 			sp.RPS = float64(sp.OK) / sp.DurationSec
 		}
-		if nObs := p.hist.Count(); nObs > 0 {
-			sp.MeanMs = p.hist.Sum() / float64(nObs) * 1e3
-			sp.P50Ms = p.hist.Quantile(0.5) * 1e3
-			sp.P90Ms = p.hist.Quantile(0.9) * 1e3
-			sp.P99Ms = p.hist.Quantile(0.99) * 1e3
-		}
+		p.summarize(&sp)
 		if h1, m1, ok := cacheCounters(client, base); ok && haveCache {
 			sp.CacheHits, sp.CacheMisses = h1-h0, m1-m0
 		}
-		sp.SlowestMs = p.slowest.Seconds() * 1e3
-		sp.SlowestID = p.slowestID
-		sp.FailIDs = append([]string(nil), p.failIDs...)
 		stat.Points = append(stat.Points, sp)
 		total2xx += sp.OK
 		allFailIDs = append(allFailIDs, sp.FailIDs...)
-		fmt.Printf("%5d %9d %7d %7d %7d %7d %9.2f %9.2f %9.2f %9.2f %9.2f\n",
-			c, sp.Requests, sp.OK, sp.Rejected, sp.Deadline, sp.Errors,
-			sp.RPS, sp.MeanMs, sp.P50Ms, sp.P90Ms, sp.P99Ms)
+		var bucketP99 float64
+		if p.hist.Count() > 0 {
+			bucketP99 = p.hist.Quantile(0.99) * 1e3
+		}
+		fmt.Println(tableRow(sp, bucketP99))
 		// The server tail-samples slow and failed requests, so these IDs
 		// are the handles into its /traces/{id} span trees.
 		if sp.SlowestID != "" {

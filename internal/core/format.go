@@ -84,15 +84,8 @@ func WriteSceneFile(path string, f Format, s Scene) error {
 			if rec < 0 {
 				return sn.GenerateFull(v, dims).Data
 			}
-			vals := make([]float32, dims.X*dims.Y)
-			i := 0
-			for y := 0; y < dims.Y; y++ {
-				for x := 0; x < dims.X; x++ {
-					vals[i] = sn.Eval(v, dims, x, y, int(rec))
-					i++
-				}
-			}
-			return vals
+			z := int(rec)
+			return sn.Generate(v, dims, grid.Ext(grid.I(0, 0, z), grid.I(dims.X, dims.Y, z+1))).Data
 		})
 	case FormatH5:
 		return h5lite.Write(path, dims, varNames(), func(v, x, y, z int) float32 {

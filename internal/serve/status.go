@@ -13,8 +13,8 @@ import (
 
 // EndpointStatus is one endpoint's RED summary: request counts by
 // status code plus latency quantiles estimated from the endpoint's
-// histogram (obs.Histogram.Quantile — the same estimator the load
-// harness uses).
+// histogram (obs.Histogram.Quantile; cmd/serveload prints the same
+// estimate for its client-side samples as a cross-check column).
 type EndpointStatus struct {
 	Endpoint string           `json:"endpoint"`
 	Requests int64            `json:"requests"`

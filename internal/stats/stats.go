@@ -100,6 +100,27 @@ func Quantile(xs []float64, q float64) float64 {
 	return vals[lo] + frac*(vals[lo+1]-vals[lo])
 }
 
+// NearestRank returns the nearest-rank q-quantile (0 < q <= 1) of xs:
+// the smallest observation with at least a fraction q of the
+// observations at or below it. Unlike Quantile it never interpolates,
+// so the result is always one of the observations and never exceeds
+// the largest. NaN values are ignored; with no usable observations it
+// returns 0. xs is not modified.
+func NearestRank(xs []float64, q float64) float64 {
+	vals := make([]float64, 0, len(xs))
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			vals = append(vals, x)
+		}
+	}
+	if len(vals) == 0 {
+		return 0
+	}
+	sort.Float64s(vals)
+	rank := int(math.Ceil(q * float64(len(vals))))
+	return vals[min(max(rank, 1), len(vals))-1]
+}
+
 // Gini returns the Gini coefficient of the non-negative values in xs:
 // 0 for a perfectly even load, approaching 1 when one rank carries
 // everything. It is the summary statistic of the Lorenz curve over

@@ -97,6 +97,36 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
+func TestNearestRank(t *testing.T) {
+	if got := NearestRank(nil, 0.5); got != 0 {
+		t.Errorf("empty NearestRank = %v, want 0", got)
+	}
+	if got := NearestRank([]float64{math.NaN()}, 0.5); got != 0 {
+		t.Errorf("all-NaN NearestRank = %v, want 0", got)
+	}
+	xs := []float64{40, math.NaN(), 10, 30, 20}
+	for _, c := range []struct{ q, want float64 }{
+		{0, 10}, {0.25, 10}, {0.26, 20}, {0.5, 20}, {0.75, 30}, {0.99, 40}, {1, 40},
+	} {
+		if got := NearestRank(xs, c.q); got != c.want {
+			t.Errorf("NearestRank(q=%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	// 100 samples 1..100: the p-th percentile is sample p exactly.
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(100 - i)
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		if got := NearestRank(hundred, q); got != math.Round(q*100) {
+			t.Errorf("NearestRank(1..100, %v) = %v", q, got)
+		}
+	}
+	if xs[0] != 40 || xs[2] != 10 {
+		t.Error("NearestRank mutated its input")
+	}
+}
+
 func TestGini(t *testing.T) {
 	if Gini(nil) != 0 || Gini([]float64{0, 0}) != 0 || Gini([]float64{math.NaN()}) != 0 {
 		t.Error("degenerate Gini inputs should be 0")

@@ -102,9 +102,9 @@ type ServicePoint struct {
 	Errors      int64   `json:"errors_other,omitempty"`
 	DurationSec float64 `json:"duration_sec"`
 	RPS         float64 `json:"rps"`
-	// Latency percentiles are estimated from a log-bucketed histogram
-	// of client-observed request wall times (obs.Histogram.Quantile),
-	// so they carry bucket resolution, not exact order statistics.
+	// Latency percentiles are nearest-rank order statistics over every
+	// completed request's client-observed wall time, so each is a
+	// latency some request had and none exceeds SlowestMs.
 	P50Ms  float64 `json:"p50_ms"`
 	P90Ms  float64 `json:"p90_ms"`
 	P99Ms  float64 `json:"p99_ms"`
