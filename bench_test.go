@@ -279,7 +279,31 @@ func BenchmarkAblationGhost(b *testing.B) {
 // calibrates the real-mode seconds-per-sample constant. The workers
 // sub-benchmarks cast one 256^3 block with the internal/par scanline
 // pool and should scale near-linearly 1 -> 4 workers (given cores).
+// The frame leg casts the eight 64^3 blocks of a 128^3/512^2 real
+// frame serially, the render stage of one rank after another.
 func BenchmarkRenderBlock(b *testing.B) {
+	b.Run("frame", func(b *testing.B) {
+		scene := core.DefaultScene(128, 512)
+		cfg := scene.RenderConfig()
+		cfg.Workers = 1
+		d := grid.NewDecomp(scene.Dims, 8)
+		sn := scene.Supernova()
+		flds := make([]*volume.Field, d.NumBlocks())
+		for r := range flds {
+			flds[r] = sn.Generate(scene.Variable, scene.Dims, d.GhostExtent(r, render.GhostLayersFor(cfg)))
+		}
+		cam := scene.Camera()
+		tf := scene.Transfer()
+		var samples int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			samples = 0
+			for r, f := range flds {
+				samples += render.RenderBlock(f, d.BlockExtent(r), cam, tf, cfg).Samples
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples)/float64(b.N), "ns/sample")
+	})
 	scene := core.DefaultScene(256, 256)
 	sn := scene.Supernova()
 	d := grid.NewDecomp(scene.Dims, 1)

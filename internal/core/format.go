@@ -67,8 +67,9 @@ func WriteSceneFile(path string, f Format, s Scene) error {
 	dims := s.Dims
 	switch f {
 	case FormatRaw:
+		at := planeSource(sn, dims)
 		return rawfmt.WriteFunc(path, dims, func(x, y, z int) float32 {
-			return sn.Eval(s.Variable, dims, x, y, z)
+			return at(s.Variable, x, y, z)
 		})
 	case FormatNetCDF, FormatCDF5:
 		ver, record := netcdf.V2, true
@@ -84,15 +85,35 @@ func WriteSceneFile(path string, f Format, s Scene) error {
 			if rec < 0 {
 				return sn.GenerateFull(v, dims).Data
 			}
-			z := int(rec)
-			return sn.Generate(v, dims, grid.Ext(grid.I(0, 0, z), grid.I(dims.X, dims.Y, z+1))).Data
+			return sn.Generate(v, dims, zPlane(dims, int(rec))).Data
 		})
 	case FormatH5:
+		at := planeSource(sn, dims)
 		return h5lite.Write(path, dims, varNames(), func(v, x, y, z int) float32 {
-			return sn.Eval(volume.Var(v), dims, x, y, z)
+			return at(volume.Var(v), x, y, z)
 		})
 	default:
 		return fmt.Errorf("core: cannot write format %v", f)
+	}
+}
+
+// zPlane is the extent of lattice plane z of a dims grid.
+func zPlane(dims grid.IVec3, z int) grid.Extent {
+	return grid.Ext(grid.I(0, 0, z), grid.I(dims.X, dims.Y, z+1))
+}
+
+// planeSource serves pointwise values of the synthetic supernova from
+// the block generator, one z-plane at a time: a writer that visits a
+// variable's voxels plane by plane generates each plane once, with the
+// bits Eval would give.
+func planeSource(sn volume.Supernova, dims grid.IVec3) func(v volume.Var, x, y, z int) float32 {
+	var plane *volume.Field
+	pv, pz := volume.Var(-1), -1
+	return func(v volume.Var, x, y, z int) float32 {
+		if v != pv || z != pz {
+			plane, pv, pz = sn.Generate(v, dims, zPlane(dims, z)), v, z
+		}
+		return plane.Data[y*dims.X+x]
 	}
 }
 

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"bgpvr/internal/grid"
+	"bgpvr/internal/h5lite"
 	"bgpvr/internal/netcdf"
+	"bgpvr/internal/rawfmt"
 	"bgpvr/internal/vfile"
 	"bgpvr/internal/volume"
 )
@@ -51,6 +55,49 @@ func TestWriteSceneFileNetCDFMatchesEval(t *testing.T) {
 					i++
 				}
 			}
+		}
+	}
+}
+
+// The raw and h5lite writers generate one z-plane at a time; their
+// files must equal, byte for byte, the files the same writers produce
+// from the pointwise Eval.
+func TestWriteSceneFileRawH5MatchEval(t *testing.T) {
+	s := DefaultScene(8, 8)
+	s.Dims = grid.IVec3{X: 21, Y: 10, Z: 7}
+	s.Variable = volume.VarDensity
+	sn := s.Supernova()
+	dir := t.TempDir()
+	specs := map[Format]func(path string) error{
+		FormatRaw: func(path string) error {
+			return rawfmt.WriteFunc(path, s.Dims, func(x, y, z int) float32 {
+				return sn.Eval(s.Variable, s.Dims, x, y, z)
+			})
+		},
+		FormatH5: func(path string) error {
+			return h5lite.Write(path, s.Dims, varNames(), func(v, x, y, z int) float32 {
+				return sn.Eval(volume.Var(v), s.Dims, x, y, z)
+			})
+		},
+	}
+	for f, spec := range specs {
+		got, want := filepath.Join(dir, f.String()), filepath.Join(dir, f.String()+".eval")
+		if err := WriteSceneFile(got, f, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := spec(want); err != nil {
+			t.Fatal(err)
+		}
+		gb, err := os.ReadFile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wb) < int(s.Dims.Count())*4 || !bytes.Equal(gb, wb) {
+			t.Errorf("%v: %d bytes written, differ from the %d-byte Eval file", f, len(gb), len(wb))
 		}
 	}
 }

@@ -55,16 +55,26 @@ func BuildMinMax(f *volume.Field, cellSize int) *MinMaxGrid {
 	// interpolation on both sides, so it must widen both cells' ranges:
 	// accumulate into every macrocell whose half-open region the point's
 	// *cell* neighborhood touches.
-	for z := f.Ext.Lo.Z; z < f.Ext.Hi.Z; z++ {
-		for y := f.Ext.Lo.Y; y < f.Ext.Hi.Y; y++ {
-			for x := f.Ext.Lo.X; x < f.Ext.Hi.X; x++ {
-				v := f.At(x, y, z)
-				for _, ci := range g.cellsOfPoint(x, y, z) {
-					if v < g.mins[ci] {
-						g.mins[ci] = v
-					}
-					if v > g.maxs[ci] {
-						g.maxs[ci] = v
+	i := 0
+	for z := 0; z < s.Z; z++ {
+		cz0, cz1 := cellAndPrev(z, cellSize, g.nz)
+		for y := 0; y < s.Y; y++ {
+			cy0, cy1 := cellAndPrev(y, cellSize, g.ny)
+			for x := 0; x < s.X; x++ {
+				cx0, cx1 := cellAndPrev(x, cellSize, g.nx)
+				v := f.Data[i]
+				i++
+				for cz := cz0; cz <= cz1; cz++ {
+					for cy := cy0; cy <= cy1; cy++ {
+						for cx := cx0; cx <= cx1; cx++ {
+							ci := (cz*g.ny+cy)*g.nx + cx
+							if v < g.mins[ci] {
+								g.mins[ci] = v
+							}
+							if v > g.maxs[ci] {
+								g.maxs[ci] = v
+							}
+						}
 					}
 				}
 			}
@@ -73,34 +83,19 @@ func BuildMinMax(f *volume.Field, cellSize int) *MinMaxGrid {
 	return g
 }
 
-// cellsOfPoint returns the macrocell indices whose interpolation range
-// includes lattice point (x, y, z): its own cell plus the preceding cell
-// along any axis where the point sits exactly on a macrocell boundary.
-func (g *MinMaxGrid) cellsOfPoint(x, y, z int) []int {
-	lx, ly, lz := x-g.ext.Lo.X, y-g.ext.Lo.Y, z-g.ext.Lo.Z
-	xs := cellAndPrev(lx, g.CellSize, g.nx)
-	ys := cellAndPrev(ly, g.CellSize, g.ny)
-	zs := cellAndPrev(lz, g.CellSize, g.nz)
-	out := make([]int, 0, 8)
-	for _, cz := range zs {
-		for _, cy := range ys {
-			for _, cx := range xs {
-				out = append(out, (cz*g.ny+cy)*g.nx+cx)
-			}
-		}
-	}
-	return out
-}
-
-func cellAndPrev(l, size, n int) []int {
+// cellAndPrev returns the range of macrocells along one axis whose
+// interpolation range includes extent-local lattice coordinate l: its
+// own cell, plus the preceding cell when l sits exactly on a macrocell
+// boundary.
+func cellAndPrev(l, size, n int) (lo, hi int) {
 	c := l / size
 	if c >= n {
 		c = n - 1
 	}
 	if l%size == 0 && c > 0 {
-		return []int{c - 1, c}
+		return c - 1, c
 	}
-	return []int{c}
+	return c, c
 }
 
 // cellOf maps a continuous sample position to its macrocell index, or

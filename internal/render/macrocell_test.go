@@ -1,6 +1,7 @@
 package render
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -203,5 +204,99 @@ func TestMaskCacheReuse(t *testing.T) {
 	RenderFull(f, cam, tf, off)
 	if cache.misses != 1 || cache.hits != 1 {
 		t.Errorf("SkipEmptySpace off touched the cache: %d misses %d hits", cache.misses, cache.hits)
+	}
+}
+
+// specBuildMinMax is BuildMinMax with the macrocells of each lattice
+// point gathered into fresh slices: its own cell plus the preceding
+// cell along every axis where it sits on a macrocell boundary.
+func specBuildMinMax(f *volume.Field, cellSize int) *MinMaxGrid {
+	if cellSize < 2 {
+		cellSize = 2
+	}
+	s := f.Ext.Size()
+	g := &MinMaxGrid{
+		CellSize: cellSize,
+		dims:     f.Dims,
+		ext:      f.Ext,
+		nx:       (s.X + cellSize - 1) / cellSize,
+		ny:       (s.Y + cellSize - 1) / cellSize,
+		nz:       (s.Z + cellSize - 1) / cellSize,
+	}
+	n := g.nx * g.ny * g.nz
+	g.mins = make([]float32, n)
+	g.maxs = make([]float32, n)
+	for i := range g.mins {
+		g.mins[i] = float32(math.Inf(1))
+		g.maxs[i] = float32(math.Inf(-1))
+	}
+	cellAndPrev := func(l, size, n int) []int {
+		c := l / size
+		if c >= n {
+			c = n - 1
+		}
+		if l%size == 0 && c > 0 {
+			return []int{c - 1, c}
+		}
+		return []int{c}
+	}
+	for z := f.Ext.Lo.Z; z < f.Ext.Hi.Z; z++ {
+		for y := f.Ext.Lo.Y; y < f.Ext.Hi.Y; y++ {
+			for x := f.Ext.Lo.X; x < f.Ext.Hi.X; x++ {
+				v := f.At(x, y, z)
+				for _, cz := range cellAndPrev(z-g.ext.Lo.Z, g.CellSize, g.nz) {
+					for _, cy := range cellAndPrev(y-g.ext.Lo.Y, g.CellSize, g.ny) {
+						for _, cx := range cellAndPrev(x-g.ext.Lo.X, g.CellSize, g.nx) {
+							ci := (cz*g.ny+cy)*g.nx + cx
+							if v < g.mins[ci] {
+								g.mins[ci] = v
+							}
+							if v > g.maxs[ci] {
+								g.maxs[ci] = v
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return g
+}
+
+// TestBuildMinMaxMatchesSpec pins BuildMinMax's ranges to the spec
+// builder bit for bit on whole, partial and one-plane extents whose
+// sizes are and are not multiples of the cell, including NaN voxels
+// (which widen no range), and checks that the build allocates only the
+// grid itself.
+func TestBuildMinMaxMatchesSpec(t *testing.T) {
+	dims := grid.IVec3{X: 17, Y: 16, Z: 13}
+	sn := volume.Supernova{Seed: 21, Time: 0.7}
+	exts := map[string]grid.Extent{
+		"whole":   grid.WholeGrid(dims),
+		"partial": grid.Ext(grid.I(3, 4, 2), grid.I(12, 16, 11)),
+		"ghost":   grid.NewDecomp(dims, 8).GhostExtent(5, 1),
+		"plane":   grid.Ext(grid.I(0, 7, 0), grid.I(17, 8, 13)),
+	}
+	for name, ext := range exts {
+		f := sn.Generate(volume.VarDensity, dims, ext)
+		f.Data[len(f.Data)/3] = float32(math.NaN())
+		for _, size := range []int{0, 2, 3, 4, 8, 16, 40} {
+			got, want := BuildMinMax(f, size), specBuildMinMax(f, size)
+			if got.CellSize != want.CellSize || got.nx != want.nx || got.ny != want.ny || got.nz != want.nz {
+				t.Fatalf("%s size %d: grid %d/%dx%dx%d, spec %d/%dx%dx%d", name, size,
+					got.CellSize, got.nx, got.ny, got.nz, want.CellSize, want.nx, want.ny, want.nz)
+			}
+			for i := range want.mins {
+				if math.Float32bits(got.mins[i]) != math.Float32bits(want.mins[i]) ||
+					math.Float32bits(got.maxs[i]) != math.Float32bits(want.maxs[i]) {
+					t.Fatalf("%s size %d cell %d: [%v, %v], spec [%v, %v]", name, size, i,
+						got.mins[i], got.maxs[i], want.mins[i], want.maxs[i])
+				}
+			}
+		}
+	}
+	f := sn.Generate(volume.VarDensity, dims, exts["whole"])
+	if n := testing.AllocsPerRun(3, func() { BuildMinMax(f, 4) }); n > 3 {
+		t.Errorf("BuildMinMax: %v allocations, want the grid and its two range slices", n)
 	}
 }

@@ -1,8 +1,6 @@
 package render
 
 import (
-	"math"
-
 	"bgpvr/internal/geom"
 	"bgpvr/internal/grid"
 	"bgpvr/internal/img"
@@ -27,27 +25,22 @@ type MultiClassifier func(vals []float64, step float64) img.RGBA
 func castSegmentMulti(fs []*volume.Field, dims grid.IVec3, own *grid.Extent,
 	cls MultiClassifier, cfg Config, ray geom.Ray, t0, t1 float64) (img.RGBA, int64) {
 
+	k0, k1 := sampleRange(t0, t1, cfg.Step)
+	k0, k1 = trimRange(ray, cfg.Step, k0, k1, func(p geom.Vec3) bool {
+		for _, f := range fs {
+			if !f.Inside(p) {
+				return false
+			}
+		}
+		return own == nil || containsHalfOpen(*own, dims, p)
+	})
 	var acc img.RGBA
 	var samples int64
 	vals := make([]float64, len(fs))
-	k0 := int64(math.Ceil((t0 - slop) / cfg.Step))
-	k1 := int64(math.Floor((t1 + slop) / cfg.Step))
 	for k := k0; k <= k1; k++ {
 		p := ray.At(float64(k) * cfg.Step)
-		if own != nil && !containsHalfOpen(*own, dims, p) {
-			continue
-		}
-		ok := true
 		for i, f := range fs {
-			v, vok := f.Sample(p)
-			if !vok {
-				ok = false
-				break
-			}
-			vals[i] = v
-		}
-		if !ok {
-			continue
+			vals[i] = f.SampleInside(p)
 		}
 		samples++
 		s := cls(vals, cfg.Step)

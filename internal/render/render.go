@@ -148,32 +148,49 @@ func ProjectedRect(cam Camera, ext grid.Extent) img.Rect {
 	return r.Intersect(full)
 }
 
-// castSegment samples one ray over [t0, t1], accumulating into acc
-// front to back. own limits ownership (nil means no ownership test:
-// serial rendering). Returns the accumulated pixel and samples taken.
+// sampleRange returns the global sample indices of a ray over
+// [t0, t1]: k*step from the ray origin, over the interval widened by
+// the package slop.
+func sampleRange(t0, t1, step float64) (k0, k1 int64) {
+	return int64(math.Ceil((t0 - slop) / step)), int64(math.Floor((t1 + slop) / step))
+}
+
+// trimRange narrows [k0, k1] to the samples whose position passes in,
+// testing only at the ends. Under round-to-nearest every axis of
+// ray.At(k*step) is monotone in k, and in must be a per-axis interval
+// test (ownership, field bounds), so the passing samples form one
+// contiguous run. An empty run comes back with k0 > k1.
+func trimRange(ray geom.Ray, step float64, k0, k1 int64, in func(geom.Vec3) bool) (int64, int64) {
+	for k0 <= k1 && !in(ray.At(float64(k0)*step)) {
+		k0++
+	}
+	for k1 > k0 && !in(ray.At(float64(k1)*step)) {
+		k1--
+	}
+	return k0, k1
+}
+
+// castSegment samples one ray over [t0, t1], accumulating front to
+// back. own limits ownership (nil means no ownership test: serial
+// rendering). Returns the accumulated pixel and samples taken.
 func castSegment(f *volume.Field, dims grid.IVec3, own *grid.Extent,
 	tf *volume.Transfer, cfg Config, mask *OpacityMask, sh *shader, ray geom.Ray, t0, t1 float64) (img.RGBA, int64) {
 
+	step, eta := cfg.Step, cfg.EarlyTerminationAlpha
+	k0, k1 := sampleRange(t0, t1, step)
+	k0, k1 = trimRange(ray, step, k0, k1, func(p geom.Vec3) bool {
+		return f.Inside(p) && (own == nil || containsHalfOpen(*own, dims, p))
+	})
 	var acc img.RGBA
 	var samples int64
-	// Global sample grid: k*Step from the ray origin, over the interval
-	// widened by the package slop.
-	k0 := int64(math.Ceil((t0 - slop) / cfg.Step))
-	k1 := int64(math.Floor((t1 + slop) / cfg.Step))
 	for k := k0; k <= k1; k++ {
-		p := ray.At(float64(k) * cfg.Step)
-		if own != nil && !containsHalfOpen(*own, dims, p) {
-			continue
-		}
+		p := ray.At(float64(k) * step)
 		if mask != nil && !mask.Visible(p) {
 			continue
 		}
-		v, ok := f.Sample(p)
-		if !ok {
-			continue
-		}
+		v := f.SampleInside(p)
 		samples++
-		s := tf.Classify(v, cfg.Step)
+		s := tf.Classify(v, step)
 		if s.A == 0 && s.R == 0 && s.G == 0 && s.B == 0 {
 			continue
 		}
@@ -184,7 +201,7 @@ func castSegment(f *volume.Field, dims grid.IVec3, own *grid.Extent,
 		acc.G += t * s.G
 		acc.B += t * s.B
 		acc.A += t * s.A
-		if cfg.EarlyTerminationAlpha > 0 && float64(acc.A) >= cfg.EarlyTerminationAlpha {
+		if eta > 0 && float64(acc.A) >= eta {
 			break
 		}
 	}
@@ -351,8 +368,7 @@ func EstimateSamples(own grid.Extent, dims grid.IVec3, cam Camera, cfg Config) i
 			if t0, t1, ok := box.RayIntersect(ray); ok {
 				// Same slop-widened interval as castSegment, so the
 				// estimate cannot undercount boundary samples.
-				k0 := int64(math.Ceil((t0 - slop) / cfg.Step))
-				k1 := int64(math.Floor((t1 + slop) / cfg.Step))
+				k0, k1 := sampleRange(t0, t1, cfg.Step)
 				if k1 >= k0 {
 					n += k1 - k0 + 1
 				}

@@ -219,3 +219,48 @@ func TestRenderBlockEmptyWhenOffscreen(t *testing.T) {
 		}
 	}
 }
+
+// NaN voxels (untrusted file bytes) must not panic the renderer: every
+// sample interpolated from one classifies as transparent, the sample
+// count is that of the same field without them, and no pixel turns
+// NaN, shaded or not, with or without empty-space skipping.
+func TestRenderNaNVoxelsTransparent(t *testing.T) {
+	dims := grid.Cube(20)
+	clean := testVolume(20)
+	f := volume.NewField(dims, grid.WholeGrid(dims))
+	copy(f.Data, clean.Data)
+	nan := float32(math.NaN())
+	for _, p := range []grid.IVec3{{X: 10, Y: 10, Z: 10}, {X: 0, Y: 5, Z: 19}, {X: 19, Y: 19, Z: 0}, {X: 7, Y: 12, Z: 3}} {
+		f.Set(p.X, p.Y, p.Z, nan)
+	}
+	for i := 0; i < 20; i++ {
+		f.Set(i, 4, 9, nan) // a whole row
+	}
+	tf := volume.SupernovaTransfer()
+	cam := centeredPersp(20, 32, 32)
+	for _, cfg := range []Config{
+		{Step: 1},
+		{Step: 0.7, Shade: Shading{Enabled: true}},
+		{Step: 1, SkipEmptySpace: true, MacrocellSize: 4, Shade: Shading{Enabled: true}},
+	} {
+		got, n := RenderFull(f, cam, tf, cfg)
+		if !cfg.SkipEmptySpace {
+			if _, want := RenderFull(clean, cam, tf, cfg); n != want {
+				t.Errorf("%+v: %d samples, %d without the NaN voxels", cfg, n, want)
+			}
+		}
+		for i, px := range got.Pix {
+			for _, c := range []float32{px.R, px.G, px.B, px.A} {
+				if c != c {
+					t.Fatalf("%+v: pixel %d is NaN: %+v", cfg, i, px)
+				}
+			}
+		}
+		d := grid.NewDecomp(dims, 8)
+		for r := 0; r < d.NumBlocks(); r++ {
+			b := volume.NewField(dims, d.GhostExtent(r, GhostLayersFor(cfg)))
+			b.SubfieldFrom(f)
+			RenderBlock(b, d.BlockExtent(r), cam, tf, cfg)
+		}
+	}
+}

@@ -75,8 +75,10 @@ func (sh *shader) intensity(f *volume.Field, p geom.Vec3) float64 {
 		g = g.SetComp(a, sh.clampedSample(f, p.Add(e))-sh.clampedSample(f, p.Sub(e)))
 	}
 	l := g.Len()
-	if l < 1e-12 {
-		return sh.ambient + sh.diffuse*0.5 // flat region: neutral light
+	if !(l >= 1e-12) {
+		// Flat region, or a NaN gradient next to a corrupt voxel:
+		// neutral light.
+		return sh.ambient + sh.diffuse*0.5
 	}
 	// The normal points against the gradient (toward lower values, i.e.
 	// out of dense features); light contributes when it hits the front.

@@ -54,12 +54,25 @@ func (f *Field) Bounds() geom.AABB {
 // Sample returns the trilinearly interpolated value at world point p,
 // and ok=false when p lies outside the field's bounds.
 func (f *Field) Sample(p geom.Vec3) (float64, bool) {
-	lo, hi := f.Ext.Lo, f.Ext.Hi
-	if p.X < float64(lo.X) || p.X > float64(hi.X-1) ||
-		p.Y < float64(lo.Y) || p.Y > float64(hi.Y-1) ||
-		p.Z < float64(lo.Z) || p.Z > float64(hi.Z-1) {
+	if !f.Inside(p) {
 		return 0, false
 	}
+	return f.SampleInside(p), true
+}
+
+// Inside reports whether p lies within Bounds(), where Sample is
+// defined. Each axis is tested against a closed interval, so the
+// points of a ray that pass form one contiguous run.
+func (f *Field) Inside(p geom.Vec3) bool {
+	lo, hi := f.Ext.Lo, f.Ext.Hi
+	return p.X >= float64(lo.X) && p.X <= float64(hi.X-1) &&
+		p.Y >= float64(lo.Y) && p.Y <= float64(hi.Y-1) &&
+		p.Z >= float64(lo.Z) && p.Z <= float64(hi.Z-1)
+}
+
+// SampleInside is Sample at a point the caller knows to be Inside.
+func (f *Field) SampleInside(p geom.Vec3) float64 {
+	lo, hi := f.Ext.Lo, f.Ext.Hi
 	x0 := int(p.X)
 	y0 := int(p.Y)
 	z0 := int(p.Z)
@@ -83,29 +96,34 @@ func (f *Field) Sample(p geom.Vec3) (float64, bool) {
 	if z0 < lo.Z {
 		z0 = lo.Z
 	}
-	// Degenerate (single-plane) extents interpolate flat along that axis.
-	x1, y1, z1 := x0+1, y0+1, z0+1
-	if x1 >= hi.X {
-		x1 = x0
+	// The base corner's index, then the strides to the other seven.
+	// Degenerate (single-plane) extents interpolate flat along that
+	// axis: its stride is 0.
+	sx, sy := hi.X-lo.X, hi.Y-lo.Y
+	dx, dy, dz := 1, sx, sx*sy
+	if x0+1 >= hi.X {
+		dx = 0
 	}
-	if y1 >= hi.Y {
-		y1 = y0
+	if y0+1 >= hi.Y {
+		dy = 0
 	}
-	if z1 >= hi.Z {
-		z1 = z0
+	if z0+1 >= hi.Z {
+		dz = 0
 	}
 	wx := p.X - float64(x0)
 	wy := p.Y - float64(y0)
 	wz := p.Z - float64(z0)
 
-	c000 := float64(f.At(x0, y0, z0))
-	c100 := float64(f.At(x1, y0, z0))
-	c010 := float64(f.At(x0, y1, z0))
-	c110 := float64(f.At(x1, y1, z0))
-	c001 := float64(f.At(x0, y0, z1))
-	c101 := float64(f.At(x1, y0, z1))
-	c011 := float64(f.At(x0, y1, z1))
-	c111 := float64(f.At(x1, y1, z1))
+	i := ((z0-lo.Z)*sy+(y0-lo.Y))*sx + (x0 - lo.X)
+	d := f.Data
+	c000 := float64(d[i])
+	c100 := float64(d[i+dx])
+	c010 := float64(d[i+dy])
+	c110 := float64(d[i+dy+dx])
+	c001 := float64(d[i+dz])
+	c101 := float64(d[i+dz+dx])
+	c011 := float64(d[i+dz+dy])
+	c111 := float64(d[i+dz+dy+dx])
 
 	c00 := c000*(1-wx) + c100*wx
 	c10 := c010*(1-wx) + c110*wx
@@ -113,7 +131,7 @@ func (f *Field) Sample(p geom.Vec3) (float64, bool) {
 	c11 := c011*(1-wx) + c111*wx
 	c0 := c00*(1-wy) + c10*wy
 	c1 := c01*(1-wy) + c11*wy
-	return c0*(1-wz) + c1*wz, true
+	return c0*(1-wz) + c1*wz
 }
 
 // Fill evaluates fn at every lattice point of the field's extent.

@@ -33,18 +33,34 @@ func NewTransfer(pts ...TransferPoint) *Transfer {
 	return &Transfer{pts: sorted}
 }
 
-// Lookup returns the straight-alpha classification of scalar v.
+// Points returns a copy of the control points, sorted by V.
+func (t *Transfer) Points() []TransferPoint { return append([]TransferPoint(nil), t.pts...) }
+
+// Lookup returns the straight-alpha classification of scalar v. Values
+// outside the control points clamp to the end points; NaN (a corrupt
+// voxel, or a sample interpolated from one) classifies as fully
+// transparent black.
 func (t *Transfer) Lookup(v float64) (r, g, b, a float64) {
 	pts := t.pts
+	last := len(pts) - 1
 	if v <= pts[0].V {
 		p := pts[0]
 		return p.R, p.G, p.B, p.A
 	}
-	if v >= pts[len(pts)-1].V {
-		p := pts[len(pts)-1]
+	if v >= pts[last].V {
+		p := pts[last]
 		return p.R, p.G, p.B, p.A
 	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].V >= v }) // first >= v
+	if math.IsNaN(v) {
+		return 0, 0, 0, 0
+	}
+	// Here pts[0].V < v < pts[last].V, so a forward scan for the first
+	// point at or above v stops by last (transfer functions have few
+	// points).
+	i := 1
+	for pts[i].V < v {
+		i++
+	}
 	p, q := pts[i-1], pts[i]
 	w := 0.0
 	if q.V > p.V {
@@ -55,7 +71,8 @@ func (t *Transfer) Lookup(v float64) (r, g, b, a float64) {
 
 // Classify returns the premultiplied RGBA sample for scalar v with the
 // opacity scaled for step length ds relative to a unit reference step
-// (opacity correction: a' = 1-(1-a)^ds).
+// (opacity correction: a' = 1-(1-a)^ds). NaN classifies as the zero
+// (fully transparent) sample.
 func (t *Transfer) Classify(v, ds float64) img.RGBA {
 	r, g, b, a := t.Lookup(v)
 	if a <= 0 {

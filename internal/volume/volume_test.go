@@ -297,3 +297,23 @@ func TestFieldBounds(t *testing.T) {
 		t.Errorf("bounds = %+v", b)
 	}
 }
+
+// A NaN scalar (a corrupt voxel, or a sample interpolated from one)
+// classifies as fully transparent under every transfer function,
+// including a single-point one, at any step.
+func TestClassifyNaNTransparent(t *testing.T) {
+	for name, tf := range map[string]*Transfer{
+		"supernova": SupernovaTransfer(),
+		"ramp":      GrayRampTransfer(0.5),
+		"single":    NewTransfer(TransferPoint{V: 0.3, R: 1, G: 1, B: 1, A: 1}),
+	} {
+		if r, g, b, a := tf.Lookup(math.NaN()); r != 0 || g != 0 || b != 0 || a != 0 {
+			t.Errorf("%s: Lookup(NaN) = (%v,%v,%v,%v), want zeros", name, r, g, b, a)
+		}
+		for _, ds := range []float64{1, 0.5} {
+			if c := tf.Classify(math.NaN(), ds); c != (img.RGBA{}) {
+				t.Errorf("%s: Classify(NaN, %v) = %+v, want transparent", name, ds, c)
+			}
+		}
+	}
+}
